@@ -28,11 +28,15 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # planes, with replay-determinism and reconvergence gates. ASan/UBSan is
 # where the reboot path (retired runner graveyard, re-placed bindings,
 # catch-up replay) would leak or index out of bounds.
+# The metric path (tsdb_test, the three driver suites) runs here too: the
+# store's per-series ring index arithmetic and the interner's arena-backed
+# name views are exactly what ASan/UBSan catches reading out of bounds.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
            stable_pool_test hash_index_test alloc_regression_test \
            hetero_machine_test conformance_test \
+           tsdb_test sim_driver_test native_driver_test driver_contract_test \
            fleet_sim_test fleet_chaos_test
 
 status=0
@@ -40,6 +44,7 @@ for t in fault_tolerance_test failure_injection_test \
          schedule_delta_test runner_dynamic_test \
          stable_pool_test hash_index_test alloc_regression_test \
          hetero_machine_test conformance_test \
+         tsdb_test sim_driver_test native_driver_test driver_contract_test \
          fleet_sim_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done

@@ -220,7 +220,8 @@ int main(int argc, char** argv) {
     // External engine processes ([query ...] sections): /proc + graphite.
     std::unique_ptr<osctl::NativeSpeDriver> file_driver;
     if (!config.spe.queries.empty()) {
-      file_driver = std::make_unique<osctl::NativeSpeDriver>(config.spe);
+      file_driver = std::make_unique<osctl::NativeSpeDriver>(
+          config.spe, Millis(config.period_ms));
     }
     // In-process native executor ([native-query ...] sections): the daemon
     // itself serves traffic, and the control plane schedules its threads.
@@ -240,7 +241,8 @@ int main(int argc, char** argv) {
         runtime->AddQuery(BuildNativeChain(chain), deploy);
       }
       runtime->Start();
-      exec_driver = std::make_unique<osctl::NativeRuntimeDriver>(*runtime);
+      exec_driver = std::make_unique<osctl::NativeRuntimeDriver>(
+          *runtime, Millis(config.period_ms));
       std::printf(
           "lachesisd: native executor serving %zu queries "
           "(%zu operator threads, %zu sources)\n",

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
     runtime.AddQuery(heavy, heavy_deploy);
 
     runtime.Start();
-    osctl::NativeRuntimeDriver driver(runtime);
+    osctl::NativeRuntimeDriver driver(runtime, Millis(period_ms));
 
     CountingOsAdapter counting_os;
     osctl::LinuxNiceController nice;
@@ -229,8 +229,9 @@ int main(int argc, char** argv) {
     double scraped_tps = 0;
     for (const core::EntityInfo& e : driver.Entities()) {
       if (!e.is_ingress) continue;
-      const auto d = driver.store().Delta(e.path + ".tuples_in",
-                                          static_cast<SimDuration>(seconds * 1e9));
+      const tsdb::TimeSeriesStore& store = driver.store();
+      const auto d = store.Delta(store.Find(e.path + ".tuples_in"),
+                                 static_cast<SimDuration>(seconds * 1e9));
       if (d) scraped_tps += *d / seconds;
     }
     std::printf("native_spe_load: ticks=%d nice_ops=%llu pin_failures=%d\n",

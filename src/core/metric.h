@@ -7,6 +7,7 @@
 #ifndef LACHESIS_CORE_METRIC_H_
 #define LACHESIS_CORE_METRIC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,6 +38,9 @@ enum class MetricId : std::uint8_t {
   kQueueHighWater,   // peak input-queue length since deployment (leaf; only
                      // engines whose registry tracks it provide it)
 };
+
+inline constexpr std::size_t kMetricCount =
+    static_cast<std::size_t>(MetricId::kQueueHighWater) + 1;
 
 inline const char* MetricName(MetricId id) {
   switch (id) {

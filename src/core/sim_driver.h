@@ -10,33 +10,29 @@
 #ifndef LACHESIS_CORE_SIM_DRIVER_H_
 #define LACHESIS_CORE_SIM_DRIVER_H_
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "core/driver.h"
+#include "core/store_driver.h"
 #include "spe/runtime.h"
 #include "tsdb/tsdb.h"
 
 namespace lachesis::core {
 
-class SimSpeDriver final : public SpeDriver {
+class SimSpeDriver final : public StoreBackedDriver {
  public:
-  SimSpeDriver(spe::SpeInstance& instance, const tsdb::TimeSeriesStore& store,
+  SimSpeDriver(spe::SpeInstance& instance, tsdb::TimeSeriesStore& store,
                SimDuration delta_window = Seconds(1));
 
-  [[nodiscard]] const std::string& name() const override { return name_; }
   std::vector<EntityInfo> Entities() override;
   const LogicalTopology& Topology(QueryId query) override;
+  // The store-backed metrics, plus kCpuPressure from the OS.
   [[nodiscard]] bool Provides(MetricId metric) const override;
   double Fetch(MetricId metric, const EntityInfo& entity) override;
 
  private:
   spe::SpeInstance* instance_;
-  const tsdb::TimeSeriesStore* store_;
-  SimDuration delta_window_;
-  std::string name_;
-  mutable std::unordered_map<QueryId, LogicalTopology> topologies_;
+  TopologyCache topologies_;
   // Previous runnable-wait snapshot per entity, for the PSI delta. Pressure
   // is an OS facility (read fresh from the kernel, not scraped via the
   // metric store).

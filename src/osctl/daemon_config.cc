@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/store_driver.h"
+
 namespace lachesis::osctl {
 
 namespace {
@@ -73,24 +75,12 @@ double ParseDouble(const std::string& value, int line, const std::string& key) {
   return parsed;
 }
 
+// A metric an exporter can publish (one the raw table serves), by name.
 core::MetricId MetricFromName(const std::string& name, int line) {
-  static const std::map<std::string, core::MetricId> kNames = {
-      {"tuples_in_total", core::MetricId::kTuplesInTotal},
-      {"tuples_out_total", core::MetricId::kTuplesOutTotal},
-      {"tuples_in_delta", core::MetricId::kTuplesInDelta},
-      {"tuples_out_delta", core::MetricId::kTuplesOutDelta},
-      {"busy_delta_ns", core::MetricId::kBusyDeltaNs},
-      {"buffer_usage", core::MetricId::kBufferUsage},
-      {"buffer_capacity", core::MetricId::kBufferCapacity},
-      {"queue_size", core::MetricId::kQueueSize},
-      {"cost", core::MetricId::kCost},
-      {"selectivity", core::MetricId::kSelectivity},
-      {"head_tuple_age", core::MetricId::kHeadTupleAge},
-      {"queue_high_water", core::MetricId::kQueueHighWater},
-  };
-  const auto it = kNames.find(name);
-  if (it == kNames.end()) Fail(line, "unknown metric '" + name + "'");
-  return it->second;
+  for (const core::RawMetricRow& row : core::RawMetricTable()) {
+    if (name == core::MetricName(row.metric)) return row.metric;
+  }
+  Fail(line, "unknown metric '" + name + "'");
 }
 
 }  // namespace

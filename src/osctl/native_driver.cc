@@ -7,8 +7,11 @@
 
 namespace lachesis::osctl {
 
-NativeSpeDriver::NativeSpeDriver(NativeSpeConfig config)
-    : config_(std::move(config)), name_(config_.name) {
+NativeSpeDriver::NativeSpeDriver(NativeSpeConfig config,
+                                 SimDuration delta_window)
+    : StoreBackedDriver(config.name, core::PlanForPublished(config.provided),
+                        store_, delta_window),
+      config_(std::move(config)) {
   for (const NativeQueryConfig& query : config_.queries) {
     core::LogicalTopology topo;
     for (int i = 0; i < static_cast<int>(query.operators.size()); ++i) {
@@ -23,7 +26,7 @@ NativeSpeDriver::NativeSpeDriver(NativeSpeConfig config)
   }
 }
 
-void NativeSpeDriver::Refresh(SimTime now) {
+void NativeSpeDriver::Poll(SimTime now) {
   // 1. Resolve operator threads via /proc (tolerates engine restarts: a
   //    vanished tid is re-resolved on the next refresh).
   for (std::size_t q = 0; q < config_.queries.size(); ++q) {
@@ -63,7 +66,7 @@ void NativeSpeDriver::Refresh(SimTime now) {
       if (fields >> timestamp) {
         when = static_cast<SimTime>(timestamp * static_cast<double>(kSecond));
       }
-      store_.Append(series, when, value);
+      store_.Append(store_.Intern(series), when, value);
     }
   }
   in.clear();
@@ -96,36 +99,6 @@ std::vector<core::EntityInfo> NativeSpeDriver::Entities() {
 
 const core::LogicalTopology& NativeSpeDriver::Topology(QueryId query) {
   return topologies_.at(query.value());
-}
-
-bool NativeSpeDriver::Provides(core::MetricId metric) const {
-  return config_.provided.count(metric) > 0;
-}
-
-double NativeSpeDriver::Fetch(core::MetricId metric,
-                              const core::EntityInfo& entity) {
-  const std::string series =
-      entity.path + "." + core::MetricName(metric);
-  switch (metric) {
-    // Windowed metrics come from counter deltas over the last second.
-    case core::MetricId::kTuplesInDelta:
-    case core::MetricId::kTuplesOutDelta:
-    case core::MetricId::kBusyDeltaNs: {
-      const std::string counter_series =
-          entity.path + "." +
-          core::MetricName(metric == core::MetricId::kTuplesInDelta
-                               ? core::MetricId::kTuplesInTotal
-                           : metric == core::MetricId::kTuplesOutDelta
-                               ? core::MetricId::kTuplesOutTotal
-                               : core::MetricId::kBusyDeltaNs);
-      const auto delta = store_.Delta(counter_series, Seconds(1));
-      return delta ? std::max(*delta, 0.0) : 0.0;
-    }
-    default: {
-      const auto sample = store_.Latest(series);
-      return sample ? sample->value : 0.0;
-    }
-  }
 }
 
 }  // namespace lachesis::osctl

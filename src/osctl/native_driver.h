@@ -7,7 +7,7 @@
 //  - RAW METRICS come from the metric store the engine already reports to.
 //    Here that is a Graphite-plaintext file ("<series> <value> <timestamp>"
 //    lines, the graphite line protocol) that a scraper/exporter appends to;
-//    Refresh() tails it into an in-memory TimeSeriesStore.
+//    Poll() tails it into an in-memory TimeSeriesStore.
 //
 // The driver is configured with a NativeSpeConfig describing the queries:
 // logical topology, per-operator thread-name patterns and metric series
@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/driver.h"
+#include "core/store_driver.h"
 #include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
@@ -29,7 +29,7 @@ struct NativeOperatorConfig {
   std::string name;            // logical operator name
   std::string thread_pattern;  // substring matched against /proc comm values
   // Series prefix in the metric file; "<prefix>.<metric>" is looked up with
-  // the MetricName() suffixes (queue_size, tuples_in_delta, ...).
+  // the MetricName() suffixes (queue_size, tuples_in_total, ...).
   std::string series_prefix;
   bool is_ingress = false;
   bool is_egress = false;
@@ -51,29 +51,23 @@ struct NativeSpeConfig {
   std::vector<NativeQueryConfig> queries;
 };
 
-class NativeSpeDriver final : public core::SpeDriver {
+class NativeSpeDriver final : public core::StoreBackedDriver {
  public:
-  explicit NativeSpeDriver(NativeSpeConfig config);
+  // `delta_window` is the counter-delta window; pass the scheduling period.
+  explicit NativeSpeDriver(NativeSpeConfig config,
+                           SimDuration delta_window = Seconds(1));
 
-  // Re-scans /proc and ingests new lines of the metrics file. Call once per
-  // scheduling period; the runner does this automatically through Poll().
-  void Refresh(SimTime now);
+  // Re-scans /proc and ingests new lines of the metrics file; the control
+  // loop calls it at the start of every period this driver participates in.
+  void Poll(SimTime now) override;
 
-  // SpeDriver refresh hook: the control loop polls the live engine at the
-  // start of every period this driver participates in.
-  void Poll(SimTime now) override { Refresh(now); }
-
-  [[nodiscard]] const std::string& name() const override { return name_; }
   std::vector<core::EntityInfo> Entities() override;
   const core::LogicalTopology& Topology(QueryId query) override;
-  [[nodiscard]] bool Provides(core::MetricId metric) const override;
-  double Fetch(core::MetricId metric, const core::EntityInfo& entity) override;
 
   [[nodiscard]] const tsdb::TimeSeriesStore& store() const { return store_; }
 
  private:
   NativeSpeConfig config_;
-  std::string name_;
   std::vector<core::LogicalTopology> topologies_;
   tsdb::TimeSeriesStore store_;
   std::streamoff metrics_offset_ = 0;

@@ -12,22 +12,18 @@
 #ifndef LACHESIS_OSCTL_NATIVE_RUNTIME_DRIVER_H_
 #define LACHESIS_OSCTL_NATIVE_RUNTIME_DRIVER_H_
 
-#include <map>
-#include <string>
 #include <vector>
 
-#include "core/driver.h"
+#include "core/store_driver.h"
 #include "spe/native_runtime.h"
 #include "tsdb/tsdb.h"
 
 namespace lachesis::osctl {
 
-class NativeRuntimeDriver final : public core::SpeDriver {
+class NativeRuntimeDriver final : public core::StoreBackedDriver {
  public:
   explicit NativeRuntimeDriver(spe::NativeRuntime& runtime,
                                SimDuration delta_window = Seconds(1));
-
-  [[nodiscard]] const std::string& name() const override { return name_; }
 
   // Scrapes every operator's raw metrics into the store at `now`. The
   // control loop calls this at the start of every period, so Lachesis'
@@ -37,22 +33,14 @@ class NativeRuntimeDriver final : public core::SpeDriver {
 
   std::vector<core::EntityInfo> Entities() override;
   const core::LogicalTopology& Topology(QueryId query) override;
-  [[nodiscard]] bool Provides(core::MetricId metric) const override;
-  double Fetch(core::MetricId metric, const core::EntityInfo& entity) override;
 
   [[nodiscard]] const tsdb::TimeSeriesStore& store() const { return store_; }
 
-  // Series prefix for one operator: "<query>.<op>" (names are only unique
-  // per query).
-  [[nodiscard]] static std::string SeriesPrefix(
-      const spe::NativeRuntime& runtime, const spe::NativeOperator& op);
-
  private:
   spe::NativeRuntime* runtime_;
-  SimDuration delta_window_;
-  std::string name_;
   tsdb::TimeSeriesStore store_;
-  std::map<QueryId, core::LogicalTopology> topologies_;
+  tsdb::SeriesCache scraped_;  // keyed by (operator address, raw metric)
+  core::TopologyCache topologies_;
 };
 
 }  // namespace lachesis::osctl

@@ -41,6 +41,39 @@ enum class RawMetric : std::uint8_t {
                      // before OOM (bounded queues report ring peaks)
 };
 
+// Series suffix for each raw metric in the engine's metric store.
+inline const char* RawMetricName(RawMetric m) {
+  switch (m) {
+    case RawMetric::kTuplesIn: return "tuples_in";
+    case RawMetric::kTuplesOut: return "tuples_out";
+    case RawMetric::kQueueSize: return "queue_size";
+    case RawMetric::kBufferUsage: return "buffer_usage";
+    case RawMetric::kBufferCapacity: return "buffer_capacity";
+    case RawMetric::kAvgExecLatencyUs: return "avg_exec_latency_us";
+    case RawMetric::kBusyTimeNs: return "busy_time_ns";
+    case RawMetric::kCost: return "cost_ns";
+    case RawMetric::kSelectivity: return "selectivity";
+    case RawMetric::kHeadTupleAgeNs: return "head_tuple_age_ns";
+    case RawMetric::kQueueHighWater: return "queue_high_water";
+  }
+  return "unknown";
+}
+
+// Raw metrics an operator's own counters answer the same way in every
+// engine; 0 for the queue-side ones, which each engine reads itself.
+template <typename Op>
+double OperatorCounterMetric(const Op& op, RawMetric m) {
+  switch (m) {
+    case RawMetric::kTuplesIn: return static_cast<double>(op.tuples_in());
+    case RawMetric::kTuplesOut: return static_cast<double>(op.tuples_out());
+    case RawMetric::kAvgExecLatencyUs: return op.MeasuredCostNs() / 1000.0;
+    case RawMetric::kBusyTimeNs: return static_cast<double>(op.busy_ns());
+    case RawMetric::kCost: return op.MeasuredCostNs();
+    case RawMetric::kSelectivity: return op.MeasuredSelectivity();
+    default: return 0.0;
+  }
+}
+
 struct SpeFlavor {
   std::string name;
   // 0 = unbounded queues; >0 = bounded with producer backpressure.

@@ -346,12 +346,6 @@ void NativeRuntime::ForEachRawMetric(const RawMetricFn& fn) const {
     for (const RawMetric m : ExposedMetrics()) {
       double value = 0;
       switch (m) {
-        case RawMetric::kTuplesIn:
-          value = static_cast<double>(op.tuples_in());
-          break;
-        case RawMetric::kTuplesOut:
-          value = static_cast<double>(op.tuples_out());
-          break;
         case RawMetric::kQueueSize:
           value = static_cast<double>(input.size());
           break;
@@ -362,23 +356,14 @@ void NativeRuntime::ForEachRawMetric(const RawMetricFn& fn) const {
         case RawMetric::kBufferCapacity:
           value = static_cast<double>(input.capacity());
           break;
-        case RawMetric::kAvgExecLatencyUs:
-          value = op.MeasuredCostNs() / 1000.0;
-          break;
-        case RawMetric::kBusyTimeNs:
-          value = static_cast<double>(op.busy_ns());
-          break;
-        case RawMetric::kCost:
-          value = op.MeasuredCostNs();
-          break;
-        case RawMetric::kSelectivity:
-          value = op.MeasuredSelectivity();
-          break;
         case RawMetric::kQueueHighWater:
           value = static_cast<double>(input.high_water());
           break;
         case RawMetric::kHeadTupleAgeNs:  // not exposed: head peeks would
           break;                          // race the consumer thread
+        default:
+          value = OperatorCounterMetric(op, m);
+          break;
       }
       fn(op, m, value);
     }

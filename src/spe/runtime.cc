@@ -374,12 +374,6 @@ void SpeInstance::ForEachRawMetric(const RawMetricFn& fn,
       for (const RawMetric m : flavor_.exposed_metrics) {
         double value = 0;
         switch (m) {
-          case RawMetric::kTuplesIn:
-            value = static_cast<double>(op.tuples_in());
-            break;
-          case RawMetric::kTuplesOut:
-            value = static_cast<double>(op.tuples_out());
-            break;
           case RawMetric::kQueueSize:
             // For ingress operators the input is the external source channel
             // (Kafka lag). Storm-style spouts expose their PENDING count,
@@ -404,23 +398,14 @@ void SpeInstance::ForEachRawMetric(const RawMetricFn& fn,
           case RawMetric::kBufferCapacity:
             value = static_cast<double>(op.input().capacity());
             break;
-          case RawMetric::kAvgExecLatencyUs:
-            value = op.MeasuredCostNs() / 1000.0;
-            break;
-          case RawMetric::kBusyTimeNs:
-            value = static_cast<double>(op.busy_ns());
-            break;
-          case RawMetric::kCost:
-            value = op.MeasuredCostNs();
-            break;
-          case RawMetric::kSelectivity:
-            value = op.MeasuredSelectivity();
-            break;
           case RawMetric::kHeadTupleAgeNs:
             value = static_cast<double>(op.input().HeadAge(machine.now()));
             break;
           case RawMetric::kQueueHighWater:
             value = static_cast<double>(op.input().high_water());
+            break;
+          default:
+            value = OperatorCounterMetric(op, m);
             break;
         }
         fn(*query, d, m, value);

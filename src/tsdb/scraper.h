@@ -8,7 +8,7 @@
 #ifndef LACHESIS_TSDB_SCRAPER_H_
 #define LACHESIS_TSDB_SCRAPER_H_
 
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -18,24 +18,6 @@
 #include "tsdb/tsdb.h"
 
 namespace lachesis::tsdb {
-
-// Human-readable series suffix for each raw metric.
-inline const char* RawMetricName(spe::RawMetric m) {
-  switch (m) {
-    case spe::RawMetric::kTuplesIn: return "tuples_in";
-    case spe::RawMetric::kTuplesOut: return "tuples_out";
-    case spe::RawMetric::kQueueSize: return "queue_size";
-    case spe::RawMetric::kBufferUsage: return "buffer_usage";
-    case spe::RawMetric::kBufferCapacity: return "buffer_capacity";
-    case spe::RawMetric::kAvgExecLatencyUs: return "avg_exec_latency_us";
-    case spe::RawMetric::kBusyTimeNs: return "busy_time_ns";
-    case spe::RawMetric::kCost: return "cost_ns";
-    case spe::RawMetric::kSelectivity: return "selectivity";
-    case spe::RawMetric::kHeadTupleAgeNs: return "head_tuple_age_ns";
-    case spe::RawMetric::kQueueHighWater: return "queue_high_water";
-  }
-  return "unknown";
-}
 
 class Scraper {
  public:
@@ -47,7 +29,7 @@ class Scraper {
   // own Scraper on their own simulator and must not read operator state the
   // worker of another shard is mutating mid-epoch.
   void AddInstance(spe::SpeInstance& instance, int machine_index = -1) {
-    instances_.push_back(Target{&instance, machine_index});
+    instances_.push_back(Target{&instance, machine_index, {}});
   }
 
   // Scrapes every `period` until `until`.
@@ -56,13 +38,19 @@ class Scraper {
     ScheduleNext(sim_->now() + period_);
   }
 
+  // One sample per exposed raw metric of every operator.
   void ScrapeOnce() {
-    for (const Target& target : instances_) {
+    for (Target& target : instances_) {
       target.instance->ForEachRawMetric(
-          [this](const spe::DeployedQuery&, const spe::DeployedOp& op,
-                 spe::RawMetric metric, double value) {
-            store_->Append(op.op->config().name + "." + RawMetricName(metric),
-                           sim_->now(), value);
+          [this, &target](const spe::DeployedQuery&, const spe::DeployedOp& op,
+                          spe::RawMetric metric, double value) {
+            const SeriesId id = target.series.Resolve(
+                *store_, op.id.value(), static_cast<std::uint32_t>(metric),
+                [&] {
+                  return op.op->config().name + "." +
+                         spe::RawMetricName(metric);
+                });
+            store_->Append(id, sim_->now(), value);
           },
           target.machine_index);
     }
@@ -80,6 +68,7 @@ class Scraper {
   struct Target {
     spe::SpeInstance* instance;
     int machine_index;  // -1 = all machines
+    SeriesCache series;  // keyed by (operator id, raw metric)
   };
 
   sim::Simulator* sim_;

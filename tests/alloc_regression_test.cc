@@ -15,29 +15,52 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/op_health.h"
 #include "core/schedule_delta.h"
+#include "core/sim_driver.h"
 #include "obs/recorder.h"
+#include "osctl/native_runtime_driver.h"
+#include "sim/simulator.h"
+#include "spe/native_runtime.h"
+#include "spe/source.h"
+#include "tsdb/scraper.h"
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+
+// Every unaligned new mallocs here directly, so a caller that inlines new[]
+// and the free()-backed delete[] sees a matched malloc/free pair.
+void* CountedMalloc(std::size_t size) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* CountedMallocOrThrow(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
 }  // namespace
 
 // Global replacements: every heap allocation in the process bumps the
 // counter. Deletes are deliberately uncounted -- the contract under test is
-// "no allocations", not "balanced allocations".
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
+// "no allocations", not "balanced allocations". The nothrow forms are
+// replaced too (std::stable_sort's scratch buffer uses them), so every new
+// pairs with the free()-backed deletes below.
+void* operator new(std::size_t size) { return CountedMallocOrThrow(size); }
+void* operator new[](std::size_t size) { return CountedMallocOrThrow(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
 void* operator new(std::size_t size, std::align_val_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
@@ -53,6 +76,10 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
@@ -188,6 +215,115 @@ TEST(AllocRegressionTest, RecorderInternLookupAllocatesNothingWhenWarm) {
   EXPECT_EQ(AllocCount() - before, 0u)
       << "re-interning a known string must not touch the heap";
   EXPECT_TRUE(all_found);
+}
+
+// Fetches every metric the driver provides, for every entity.
+double FetchAll(SpeDriver& driver, const std::vector<EntityInfo>& entities) {
+  double sum = 0;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    const auto metric = static_cast<MetricId>(i);
+    if (!driver.Provides(metric)) continue;
+    for (const EntityInfo& entity : entities) {
+      sum += driver.Fetch(metric, entity);
+    }
+  }
+  return sum;
+}
+
+// The scrape -> store -> fetch path of the simulated engines: once every
+// series is resolved and its ring has wrapped, a scrape appends in place
+// and a fetch is an id lookup plus a ring read.
+TEST(AllocRegressionTest, ScrapeAndSimFetchAllocateNothingOnceRingsWrap) {
+  constexpr std::size_t kRing = 16;
+  for (const spe::SpeFlavor& flavor :
+       {spe::StormFlavor(), spe::FlinkFlavor(), spe::LiebreFlavor()}) {
+    SCOPED_TRACE(flavor.name);
+    sim::Simulator sim;
+    sim::Machine machine(sim, 2);
+    spe::SpeInstance instance(flavor, {&machine}, "spe");
+    spe::LogicalQuery query;
+    query.name = "q";
+    const int in = query.Add(spe::MakeIngress("in", Micros(10)));
+    const int t = query.Add(spe::MakeTransform("t", Micros(100), [] {
+      return std::make_unique<spe::IdentityLogic>();
+    }));
+    const int out = query.Add(spe::MakeEgress("out", Micros(10)));
+    query.Connect(in, t);
+    query.Connect(t, out);
+    instance.Deploy(query, {});
+    spe::ExternalSource source(sim, instance.queries()[0]->source_channels(),
+                               [](Rng&, std::uint64_t) { return spe::Tuple{}; },
+                               3);
+    source.Start(2000, Seconds(2));
+    tsdb::TimeSeriesStore store(kRing);
+    tsdb::Scraper scraper(sim, store, Seconds(1));
+    scraper.AddInstance(instance);
+    SimSpeDriver driver(instance, store, Seconds(1));
+    const std::vector<EntityInfo> entities = driver.Entities();
+
+    // Warmup: traffic flows, then every ring fills past capacity.
+    for (int s = 1; s <= static_cast<int>(kRing) + 4; ++s) {
+      sim.RunUntil(Millis(100) * s);
+      scraper.ScrapeOnce();
+      (void)FetchAll(driver, entities);
+    }
+    const std::uint64_t before = AllocCount();
+    double sum = 0;
+    for (int round = 0; round < 3 * static_cast<int>(kRing); ++round) {
+      scraper.ScrapeOnce();
+      sum += FetchAll(driver, entities);
+    }
+    EXPECT_EQ(AllocCount() - before, 0u)
+        << "steady-state scrapes and fetches must not touch the heap";
+    EXPECT_GT(sum, 0.0);
+  }
+}
+
+// The live-executor driver: Poll scrapes the runtime's registry into the
+// driver's own store, Fetch reads it back. Both allocation-free once warm,
+// including after the default-sized rings wrap.
+TEST(AllocRegressionTest, NativePollAndFetchAllocateNothingOnceRingsWrap) {
+  spe::NativeRuntime runtime;
+  spe::LogicalQuery query;
+  query.name = "q";
+  for (int i = 0; i < 3; ++i) {
+    spe::LogicalOperator op;
+    op.name = "op" + std::to_string(i);
+    op.role = i == 0   ? spe::OperatorRole::kIngress
+              : i == 2 ? spe::OperatorRole::kEgress
+                       : spe::OperatorRole::kTransform;
+    op.cost = 0;  // no emulated spin: only the counters matter here
+    op.cost_jitter = 0;
+    const int index = query.Add(std::move(op));
+    if (i > 0) query.Connect(index - 1, index);
+  }
+  spe::NativeDeployOptions deploy;
+  deploy.source_rate_tps = 1e9;
+  deploy.max_tuples = 500;
+  runtime.AddQuery(query, deploy);
+  runtime.Start();
+  while (runtime.TotalEmitted(0) < 500) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Stopped: no runtime thread allocates while the hooks count.
+  runtime.Stop(/*drain=*/true);
+
+  osctl::NativeRuntimeDriver driver(runtime);
+  const std::vector<EntityInfo> entities = driver.Entities();
+  constexpr int kPastDefaultRing = 700;  // TimeSeriesStore keeps 600
+  for (int p = 1; p <= kPastDefaultRing; ++p) {
+    driver.Poll(Millis(p));
+    (void)FetchAll(driver, entities);
+  }
+  const std::uint64_t before = AllocCount();
+  double sum = 0;
+  for (int p = 1; p <= kPastDefaultRing; ++p) {
+    driver.Poll(Millis(kPastDefaultRing + p));
+    sum += FetchAll(driver, entities);
+  }
+  EXPECT_EQ(AllocCount() - before, 0u)
+      << "steady-state polls and fetches must not touch the heap";
+  EXPECT_GT(sum, 0.0);
 }
 
 }  // namespace

@@ -88,12 +88,17 @@ operator a = pat series sideways
 }
 
 TEST(DaemonConfigTest, RejectsUnknownMetric) {
-  EXPECT_THROW(ParseDaemonConfig(R"(
+  // Unknown names, and metrics no exporter can publish: the rates are
+  // always derived and CPU pressure is read from the OS.
+  for (const char* metric :
+       {"warp_factor", "input_rate", "highest_rate", "cpu_pressure"}) {
+    EXPECT_THROW(ParseDaemonConfig(std::string(R"(
 [query q]
 operator a = pat series
-provides = warp_factor
-)"),
-               std::runtime_error);
+provides = )") + metric + "\n"),
+                 std::runtime_error)
+        << metric;
+  }
 }
 
 TEST(DaemonConfigTest, RejectsEmptyConfig) {

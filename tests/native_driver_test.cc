@@ -74,7 +74,7 @@ TEST(NativeDriverTest, ResolvesThreadsByNamePattern) {
   rig.AddThread(500, 501, "exec-spout-1");
   rig.AddThread(500, 502, "exec-parse-3");
   NativeSpeDriver driver(rig.BaseConfig());
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
   const auto entities = driver.Entities();
   ASSERT_EQ(entities.size(), 3u);
   EXPECT_EQ(entities[0].thread.os_tid, 501);
@@ -88,12 +88,12 @@ TEST(NativeDriverTest, RefreshReResolvesAfterRestart) {
   NativeRig rig;
   rig.AddThread(500, 501, "exec-spout-1");
   NativeSpeDriver driver(rig.BaseConfig());
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
   EXPECT_EQ(driver.Entities()[0].thread.os_tid, 501);
   // "Restart": spout thread gets a new tid.
   fs::remove_all(rig.dir() / "proc" / "500" / "task" / "501");
   rig.AddThread(500, 777, "exec-spout-1");
-  driver.Refresh(Seconds(2));
+  driver.Poll(Seconds(2));
   EXPECT_EQ(driver.Entities()[0].thread.os_tid, 777);
 }
 
@@ -101,12 +101,12 @@ TEST(NativeDriverTest, TailsGraphiteFileIncrementally) {
   NativeRig rig;
   NativeSpeDriver driver(rig.BaseConfig());
   rig.AppendMetric("storm.lr.parse.queue_size", 12, 1.0);
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]), 12);
   // Only NEW lines are ingested on the next refresh.
   rig.AppendMetric("storm.lr.parse.queue_size", 34, 2.0);
-  driver.Refresh(Seconds(2));
+  driver.Poll(Seconds(2));
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]), 34);
 }
 
@@ -115,7 +115,7 @@ TEST(NativeDriverTest, CounterDeltasComputed) {
   NativeSpeDriver driver(rig.BaseConfig());
   rig.AppendMetric("storm.lr.spout.tuples_in_total", 1000, 1.0);
   rig.AppendMetric("storm.lr.spout.tuples_in_total", 1750, 2.0);
-  driver.Refresh(Seconds(2));
+  driver.Poll(Seconds(2));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kTuplesInDelta, entities[0]),
                    750);
@@ -124,7 +124,7 @@ TEST(NativeDriverTest, CounterDeltasComputed) {
 TEST(NativeDriverTest, MissingSeriesFetchesZero) {
   NativeRig rig;
   NativeSpeDriver driver(rig.BaseConfig());
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[0]), 0.0);
 }
@@ -139,7 +139,7 @@ TEST(NativeDriverTest, MalformedGraphiteLinesAreSkipped) {
     out << "loneseries\n";                                // no value column
     out << "storm.lr.parse.queue_size 7 1.0\n";           // good line
   }
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]), 7);
 }
@@ -149,7 +149,7 @@ TEST(NativeDriverTest, LineWithoutTimestampDefaultsToNow) {
   NativeSpeDriver driver(rig.BaseConfig());
   std::ofstream(rig.dir() / "metrics.txt", std::ios::app)
       << "storm.lr.parse.queue_size 42\n";
-  driver.Refresh(Seconds(3));
+  driver.Poll(Seconds(3));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]), 42);
 }
@@ -161,12 +161,12 @@ TEST(NativeDriverTest, TruncatedLastLineIsNotDuplicated) {
   std::ofstream(rig.dir() / "metrics.txt", std::ios::app)
       << "storm.lr.spout.tuples_in_total 100 1.0\n"
       << "storm.lr.spout.tuples_in_total 150";
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
   // The writer finishes the line later; the counter store must end up with
   // exactly the two samples (a re-read of the partial line would produce a
   // phantom 150 sample and a bogus delta).
   std::ofstream(rig.dir() / "metrics.txt", std::ios::app) << " 2.0\n";
-  driver.Refresh(Seconds(2));
+  driver.Poll(Seconds(2));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kTuplesInDelta, entities[0]),
                    50);
@@ -177,11 +177,11 @@ TEST(NativeDriverTest, FileRotationResetsTailOffset) {
   NativeSpeDriver driver(rig.BaseConfig());
   rig.AppendMetric("storm.lr.parse.queue_size", 11, 1.0);
   rig.AppendMetric("storm.lr.parse.queue_size", 22, 2.0);
-  driver.Refresh(Seconds(2));
+  driver.Poll(Seconds(2));
   // Rotation: the exporter truncates and starts a shorter file.
   std::ofstream(rig.dir() / "metrics.txt", std::ios::trunc)
       << "storm.lr.parse.queue_size 33 3.0\n";
-  driver.Refresh(Seconds(3));
+  driver.Poll(Seconds(3));
   const auto entities = driver.Entities();
   EXPECT_DOUBLE_EQ(driver.Fetch(core::MetricId::kQueueSize, entities[1]), 33);
 }
@@ -191,7 +191,7 @@ TEST(NativeDriverTest, MissingMetricsFileIsTolerated) {
   NativeSpeConfig config = rig.BaseConfig();
   config.metrics_file = (rig.dir() / "nope.txt").string();
   NativeSpeDriver driver(std::move(config));
-  driver.Refresh(Seconds(1));  // must not crash
+  driver.Poll(Seconds(1));  // must not crash
   EXPECT_EQ(driver.Entities().size(), 3u);
 }
 
@@ -202,7 +202,7 @@ TEST(NativeDriverTest, WorksWithMetricProvider) {
   NativeRig rig;
   NativeSpeDriver driver(rig.BaseConfig());
   rig.AppendMetric("storm.lr.parse.queue_size", 5, 1.0);
-  driver.Refresh(Seconds(1));
+  driver.Poll(Seconds(1));
 
   core::MetricProvider provider;
   provider.Register(core::MetricId::kQueueSize);
@@ -217,10 +217,31 @@ TEST(NativeDriverTest, WorksWithMetricProvider) {
   // cost computation short-circuits before touching the missing dependency.
   rig.AppendMetric("storm.lr.parse.tuples_in_total", 100, 1.0);
   rig.AppendMetric("storm.lr.parse.tuples_in_total", 300, 2.0);
-  driver.Refresh(Seconds(2));
+  driver.Poll(Seconds(2));
   core::MetricProvider strict;
   strict.Register(core::MetricId::kCost);
   EXPECT_THROW(strict.Update({&driver}, Seconds(2)), core::ConfigurationError);
+}
+
+TEST(NativeDriverTest, InputRateUsesTheSchedulingPeriodAsDeltaWindow) {
+  // The daemon schedules every 250 ms and hands the driver that period as
+  // its delta window. kInputRate = tuples_in_delta / provider window, so
+  // both windows must agree: 400 tuples/s written must read as 400/s.
+  NativeRig rig;
+  NativeSpeDriver driver(rig.BaseConfig(), Millis(250));
+  for (int i = 0; i <= 8; ++i) {
+    rig.AppendMetric("storm.lr.spout.tuples_in_total", 1000 + 100 * i,
+                     0.25 * i);
+  }
+  driver.Poll(Seconds(2));
+
+  core::MetricProvider provider;
+  provider.Register(core::MetricId::kInputRate);
+  provider.Update({&driver}, Millis(250));
+  const auto entities = provider.EntitiesOf(driver);
+  EXPECT_DOUBLE_EQ(
+      provider.Value(driver, core::MetricId::kInputRate, entities[0].id),
+      400.0);
 }
 
 TEST(NativeDriverTest, TopologyExposed) {

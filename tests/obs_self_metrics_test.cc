@@ -138,10 +138,10 @@ TEST(SelfMetricsTest, PublishBridgesIntoTimeSeriesStore) {
   const obs::SelfMetricsSnapshot snapshot = LiveSnapshot();
   obs::PublishSelfMetrics(snapshot, [&store](const std::string& name,
                                              double value) {
-    store.Append("self." + name, Seconds(5), value);
+    store.Append(store.Intern("self." + name), Seconds(5), value);
   });
   EXPECT_EQ(store.series_count(), snapshot.size());
-  const auto latest = store.Latest("self.lachesis_ticks_total");
+  const auto latest = store.Latest(store.Find("self.lachesis_ticks_total"));
   ASSERT_TRUE(latest.has_value());
   EXPECT_GE(latest->value, 4.0);
   EXPECT_EQ(latest->time, Seconds(5));
