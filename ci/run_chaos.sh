@@ -31,13 +31,18 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # The metric path (tsdb_test, the three driver suites) runs here too: the
 # store's per-series ring index arithmetic and the interner's arena-backed
 # name views are exactly what ASan/UBSan catches reading out of bounds.
+# The transition-log digest suites (transition_log_test, golden_trace_test,
+# fleet_golden_test) run here too: Digest() formats every record into a
+# fixed-size stack buffer, and the widest line is exactly what ASan catches
+# writing past its end.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
            stable_pool_test hash_index_test alloc_regression_test \
            hetero_machine_test conformance_test \
            tsdb_test sim_driver_test native_driver_test driver_contract_test \
-           fleet_sim_test fleet_chaos_test
+           fleet_sim_test fleet_chaos_test \
+           transition_log_test golden_trace_test fleet_golden_test
 
 status=0
 for t in fault_tolerance_test failure_injection_test \
@@ -45,7 +50,8 @@ for t in fault_tolerance_test failure_injection_test \
          stable_pool_test hash_index_test alloc_regression_test \
          hetero_machine_test conformance_test \
          tsdb_test sim_driver_test native_driver_test driver_contract_test \
-         fleet_sim_test; do
+         fleet_sim_test transition_log_test golden_trace_test \
+         fleet_golden_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done
 # The soak's epoch count is trimmed under sanitizers: the schedule is a

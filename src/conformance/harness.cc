@@ -48,16 +48,6 @@ std::unique_ptr<sim::ThreadBody> MakeBody(const ThreadSpec& spec) {
   return std::make_unique<BurstSleepBody>(spec.busy, spec.sleep);
 }
 
-class TraceCollector final : public sim::SchedTraceObserver {
- public:
-  void OnSchedTransition(SimTime time, ThreadId tid,
-                         sim::SchedTransition kind) override {
-    records.push_back({time, tid.value(), kind});
-  }
-
-  std::vector<TransitionRecord> records;
-};
-
 std::string KindName(sim::SchedTransition kind) {
   switch (kind) {
     case sim::SchedTransition::kWake: return "wake";
@@ -77,7 +67,7 @@ std::string KindName(sim::SchedTransition kind) {
 RunResult RunScenario(const ScenarioSpec& spec) {
   sim::Simulator sim;
   sim::Machine machine(sim, spec.cores, spec.params, "conformance");
-  TraceCollector trace;
+  sim::TransitionLog trace;
   machine.set_trace_observer(&trace);
 
   std::vector<CgroupId> groups;
@@ -165,7 +155,7 @@ RunResult RunScenario(const ScenarioSpec& spec) {
     result.stats.push_back(machine.GetStats(tid));
     result.final_states.push_back(machine.GetState(tid));
   }
-  result.trace = std::move(trace.records);
+  result.trace = std::move(trace).records();
   result.total_busy = machine.total_busy_time();
   return result;
 }
@@ -192,7 +182,7 @@ void CheckTransitions(const RunResult& run, CheckReport& report) {
   std::vector<TraceState> state(n, TraceState::kNew);
   std::vector<std::uint64_t> wakes(n, 0);
   std::vector<std::uint64_t> preempts(n, 0);
-  for (const TransitionRecord& rec : run.trace) {
+  for (const sim::TransitionRecord& rec : run.trace) {
     if (rec.tid >= n) {
       report.Add("trace references unknown thread " + std::to_string(rec.tid));
       return;
@@ -367,7 +357,7 @@ void CheckTimesliceBounds(const RunResult& run, CheckReport& report) {
   const SimTime warmup = Millis(100);
   constexpr SimDuration kEps = Micros(1);
   std::vector<SimTime> dispatched_at(run.spec.threads.size(), -1);
-  for (const TransitionRecord& rec : run.trace) {
+  for (const sim::TransitionRecord& rec : run.trace) {
     if (rec.kind == sim::SchedTransition::kDispatch) {
       dispatched_at[rec.tid] = rec.at;
       continue;

@@ -18,14 +18,9 @@
 
 #include "conformance/scenario.h"
 #include "sim/machine.h"
+#include "sim/transition_log.h"
 
 namespace lachesis::conformance {
-
-struct TransitionRecord {
-  SimTime at = 0;
-  std::uint64_t tid = 0;
-  sim::SchedTransition kind = sim::SchedTransition::kWake;
-};
 
 // One periodic snapshot of scheduler state (every duration/200).
 struct ProbeSample {
@@ -47,7 +42,7 @@ struct RunResult {
   ScenarioSpec spec;
   std::vector<sim::ThreadStats> stats;
   std::vector<sim::ThreadState> final_states;
-  std::vector<TransitionRecord> trace;
+  std::vector<sim::TransitionRecord> trace;
   std::vector<ProbeSample> probes;
   SimDuration total_busy = 0;
 };

@@ -6,32 +6,11 @@
 
 namespace lachesis::core {
 
-Schedule QueueSizePolicy::ComputeSchedule(const PolicyContext& ctx) {
+Schedule SingleMetricPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
+  schedule.spacing = spacing_;
   ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double queue = ctx.provider->Value(driver, MetricId::kQueueSize, e.id);
-    schedule.entries.push_back({e, queue});
-  });
-  return schedule;
-}
-
-Schedule HighestRatePolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLogarithmic;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double hr = ctx.provider->Value(driver, MetricId::kHighestRate, e.id);
-    schedule.entries.push_back({e, hr});
-  });
-  return schedule;
-}
-
-Schedule FcfsPolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double age = ctx.provider->Value(driver, MetricId::kHeadTupleAge, e.id);
-    schedule.entries.push_back({e, age});
+    schedule.entries.push_back({e, ctx.provider->Value(driver, metric_, e.id)});
   });
   return schedule;
 }
@@ -55,17 +34,6 @@ Schedule MinMemoryPolicy::ComputeSchedule(const PolicyContext& ctx) {
     // correctly deprioritizes them when memory is the goal.
     const double priority = cost > 0 ? (1.0 - sel) / cost : 0.0;
     schedule.entries.push_back({e, priority});
-  });
-  return schedule;
-}
-
-Schedule PressureStallPolicy::ComputeSchedule(const PolicyContext& ctx) {
-  Schedule schedule;
-  schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double pressure =
-        ctx.provider->Value(driver, MetricId::kCpuPressure, e.id);
-    schedule.entries.push_back({e, pressure});
   });
   return schedule;
 }

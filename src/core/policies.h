@@ -6,54 +6,61 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policy.h"
 
 namespace lachesis::core {
 
-// Queue Size (QS) [EdgeWise]: prioritizes operators with longer input
-// queues, balancing queue sizes to raise throughput and lower latency.
-class QueueSizePolicy final : public SchedulingPolicy {
+// A policy whose priority for each entity is one metric's value, in the
+// provider's entity order, spaced linearly or logarithmically.
+class SingleMetricPolicy : public SchedulingPolicy {
  public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::vector<MetricId> RequiredMetrics() const override {
-    return {MetricId::kQueueSize};
+  [[nodiscard]] const std::string& name() const final { return name_; }
+  [[nodiscard]] std::vector<MetricId> RequiredMetrics() const final {
+    return {metric_};
   }
-  Schedule ComputeSchedule(const PolicyContext& ctx) override;
+  Schedule ComputeSchedule(const PolicyContext& ctx) final;
+
+ protected:
+  SingleMetricPolicy(std::string name, MetricId metric,
+                     PrioritySpacing spacing)
+      : name_(std::move(name)), metric_(metric), spacing_(spacing) {}
 
  private:
-  std::string name_ = "queue-size";
+  std::string name_;
+  MetricId metric_;
+  PrioritySpacing spacing_;
+};
+
+// Queue Size (QS) [EdgeWise]: prioritizes operators with longer input
+// queues, balancing queue sizes to raise throughput and lower latency.
+class QueueSizePolicy final : public SingleMetricPolicy {
+ public:
+  QueueSizePolicy()
+      : SingleMetricPolicy("queue-size", MetricId::kQueueSize,
+                           PrioritySpacing::kLinear) {}
 };
 
 // Highest Rate (HR) [Sharaf et al.]: prioritizes operators on productive and
 // inexpensive paths to sinks, minimizing average processing latency.
 // Logarithmically spaced priorities.
-class HighestRatePolicy final : public SchedulingPolicy {
+class HighestRatePolicy final : public SingleMetricPolicy {
  public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::vector<MetricId> RequiredMetrics() const override {
-    return {MetricId::kHighestRate};
-  }
-  Schedule ComputeSchedule(const PolicyContext& ctx) override;
-
- private:
-  std::string name_ = "highest-rate";
+  HighestRatePolicy()
+      : SingleMetricPolicy("highest-rate", MetricId::kHighestRate,
+                           PrioritySpacing::kLogarithmic) {}
 };
 
 // First-Come-First-Serve (FCFS) [Bender et al.]: prioritizes operators whose
 // head-of-line tuples have been in the system longest, minimizing maximum
-// latency. The paper quotes it at ~15 lines of code; it is about that here.
-class FcfsPolicy final : public SchedulingPolicy {
+// latency. The paper quotes it at ~15 lines of code; here it is one line.
+class FcfsPolicy final : public SingleMetricPolicy {
  public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::vector<MetricId> RequiredMetrics() const override {
-    return {MetricId::kHeadTupleAge};
-  }
-  Schedule ComputeSchedule(const PolicyContext& ctx) override;
-
- private:
-  std::string name_ = "fcfs";
+  FcfsPolicy()
+      : SingleMetricPolicy("fcfs", MetricId::kHeadTupleAge,
+                           PrioritySpacing::kLinear) {}
 };
 
 // RANDOM: uniformly random priorities; the control showing improvements are
@@ -89,16 +96,11 @@ class MinMemoryPolicy final : public SchedulingPolicy {
 // operators whose threads spent the most time runnable-but-not-running --
 // i.e. the CPU-starved ones -- using fresh kernel-side PSI accounting
 // instead of scraped engine metrics.
-class PressureStallPolicy final : public SchedulingPolicy {
+class PressureStallPolicy final : public SingleMetricPolicy {
  public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::vector<MetricId> RequiredMetrics() const override {
-    return {MetricId::kCpuPressure};
-  }
-  Schedule ComputeSchedule(const PolicyContext& ctx) override;
-
- private:
-  std::string name_ = "pressure-stall";
+  PressureStallPolicy()
+      : SingleMetricPolicy("pressure-stall", MetricId::kCpuPressure,
+                           PrioritySpacing::kLinear) {}
 };
 
 // Runtime policy switching (paper §4: "switch scheduling policies at

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,41 +14,13 @@
 #include "core/sim_executor.h"
 #include "sim/fleet.h"
 #include "sim/machine.h"
+#include "sim/transition_log.h"
 #include "spe/source.h"
-#include "spe/trace.h"
 #include "tsdb/scraper.h"
 
 namespace lachesis::exp {
 
 namespace {
-
-// Records every scheduler transition of one machine; the fleet digest
-// serializes all machines' records (in machine order) through the on-disk
-// trace format and FNV-1a hashes the bytes -- the same construction as the
-// single-machine golden-trace test, so mismatches debug the same way.
-class DigestObserver final : public sim::SchedTraceObserver {
- public:
-  void OnSchedTransition(SimTime time, ThreadId tid,
-                         sim::SchedTransition kind) override {
-    records_.push_back({time, static_cast<std::int64_t>(tid.value()), 0.0,
-                        static_cast<std::uint32_t>(kind)});
-  }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] const std::vector<spe::TraceRecord>& records() const {
-    return records_;
-  }
-
- private:
-  std::vector<spe::TraceRecord> records_;
-};
-
-std::uint64_t FoldFnv(std::uint64_t hash, const std::string& bytes) {
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
 
 // Pass-through adapter between a machine's runner and its SimOsAdapter that
 // knows whether the machine is dark. It never blocks an op -- it counts ops
@@ -114,7 +85,7 @@ class DarkGuardAdapter final : public core::OsAdapter {
 // order in reverse: runner before driver before instance before machine.
 struct NodeContext {
   std::unique_ptr<sim::Machine> machine;
-  std::unique_ptr<DigestObserver> digest;
+  std::unique_ptr<sim::TransitionLog> log;  // null when collect_digest is off
   std::unique_ptr<spe::SpeInstance> instance;
   std::vector<spe::DeployedQuery*> queries;
   std::vector<std::unique_ptr<spe::ExternalSource>> sources;
@@ -134,6 +105,25 @@ struct NodeContext {
   SimDuration busy_base = 0;
   std::uint64_t emitted_base = 0;
 };
+
+// The binding a machine's agent runs: the spec's policy and translator over
+// the machine's driver. With churn on, `churn` selects the churn query
+// alone and !churn every other query.
+core::PolicyBinding NodeBinding(const FleetSpec& spec, const NodeContext& node,
+                                bool churn) {
+  core::PolicyBinding binding;
+  binding.policy = MakePolicy(spec.scheduler.policy);
+  binding.translator = MakeTranslator(spec.scheduler.translator);
+  binding.period = spec.scheduler.period;
+  binding.drivers = {node.driver.get()};
+  if (!node.churn_query_name.empty()) {
+    binding.filter = [name = node.churn_query_name,
+                      churn](const core::EntityInfo& e) {
+      return (e.query_name == name) == churn;
+    };
+  }
+  return binding;
+}
 
 }  // namespace
 
@@ -166,8 +156,8 @@ FleetResult RunFleet(const FleetSpec& spec) {
     node.machine = std::make_unique<sim::Machine>(
         shard, spec.cores, sim::CfsParams{}, "node" + std::to_string(m));
     if (spec.collect_digest) {
-      node.digest = std::make_unique<DigestObserver>();
-      node.machine->set_trace_observer(node.digest.get());
+      node.log = std::make_unique<sim::TransitionLog>();
+      node.machine->set_trace_observer(node.log.get());
     }
     node.instance = std::make_unique<spe::SpeInstance>(
         spec.flavor, std::vector<sim::Machine*>{node.machine.get()},
@@ -214,20 +204,8 @@ FleetResult RunFleet(const FleetSpec& spec) {
           *node.executor, *node.guard,
           spec.seed + 3 + static_cast<std::uint64_t>(m));
 
-      // Base binding: every steady query on this machine (the churn query
-      // is managed through the coordinator instead).
-      core::PolicyBinding binding;
-      binding.policy = MakePolicy(spec.scheduler.policy);
-      binding.translator = MakeTranslator(spec.scheduler.translator);
-      binding.period = spec.scheduler.period;
-      binding.drivers = {node.driver.get()};
-      if (!node.churn_query_name.empty()) {
-        const std::string churn_name = node.churn_query_name;
-        binding.filter = [churn_name](const core::EntityInfo& e) {
-          return e.query_name != churn_name;
-        };
-      }
-      node.runner->AddQuery(std::move(binding));
+      // The churn query is managed through the coordinator instead.
+      node.runner->AddQuery(NodeBinding(spec, node, /*churn=*/false));
       node.runner->Start(end);
       coordinator.AddShard(*node.runner, node.machine->name(),
                            /*initial_queries=*/1);
@@ -271,17 +249,8 @@ FleetResult RunFleet(const FleetSpec& spec) {
           const core::FleetQueryHandle handle = coordinator.AttachQuery(
               "churn", [&nodes, &spec](std::size_t shard,
                                        core::LachesisRunner& runner) {
-                NodeContext& node = nodes[shard];
-                core::PolicyBinding binding;
-                binding.policy = MakePolicy(spec.scheduler.policy);
-                binding.translator = MakeTranslator(spec.scheduler.translator);
-                binding.period = spec.scheduler.period;
-                binding.drivers = {node.driver.get()};
-                const std::string name = node.churn_query_name;
-                binding.filter = [name](const core::EntityInfo& e) {
-                  return e.query_name == name;
-                };
-                return runner.AddQuery(std::move(binding));
+                return runner.AddQuery(
+                    NodeBinding(spec, nodes[shard], /*churn=*/true));
               });
           churn_live.push_back(handle);
         } catch (const core::FleetPlacementError&) {
@@ -333,18 +302,7 @@ FleetResult RunFleet(const FleetSpec& spec) {
         node.runner = std::make_unique<core::LachesisRunner>(
             *node.executor, *node.guard,
             spec.seed + 3 + static_cast<std::uint64_t>(shard));
-        core::PolicyBinding binding;
-        binding.policy = MakePolicy(spec.scheduler.policy);
-        binding.translator = MakeTranslator(spec.scheduler.translator);
-        binding.period = spec.scheduler.period;
-        binding.drivers = {node.driver.get()};
-        if (!node.churn_query_name.empty()) {
-          const std::string churn_name = node.churn_query_name;
-          binding.filter = [churn_name](const core::EntityInfo& e) {
-            return e.query_name != churn_name;
-          };
-        }
-        node.runner->AddQuery(std::move(binding));
+        node.runner->AddQuery(NodeBinding(spec, node, /*churn=*/false));
         node.driver->Poll(now);
         reconcile_seeded += node.runner->ReconcileWithBackend();
         node.runner->Start(end);
@@ -387,7 +345,8 @@ FleetResult RunFleet(const FleetSpec& spec) {
   FleetResult result;
   const double measure_s = ToSeconds(spec.measure);
   RunningStat all_latency;
-  std::uint64_t digest = 14695981039346656037ULL;  // FNV-1a 64 basis
+  // Machine m's text continues the hash where machine m-1's ended.
+  std::uint64_t digest = sim::TransitionLog::kFnvBasis;
   for (std::size_t m = 0; m < nodes.size(); ++m) {
     NodeContext& node = nodes[m];
     FleetNodeResult nr;
@@ -411,11 +370,9 @@ FleetResult RunFleet(const FleetSpec& spec) {
     nr.cpu_utilization =
         static_cast<double>(node.machine->total_busy_time() - node.busy_base) /
         (static_cast<double>(spec.cores) * static_cast<double>(spec.measure));
-    if (node.digest) {
-      nr.sched_transitions = node.digest->size();
-      std::ostringstream out;
-      spe::WriteTrace(out, node.digest->records());
-      digest = FoldFnv(digest, out.str());
+    if (node.log) {
+      nr.sched_transitions = node.log->size();
+      digest = node.log->Digest(digest);
     }
     result.throughput_tps += nr.throughput_tps;
     result.offered_tps += nr.offered_tps;

@@ -114,9 +114,10 @@ struct FleetResult {
   // that this stays 0 (a dead agent issues nothing).
   std::uint64_t dark_ops = 0;
 
-  // FNV-1a over every machine's serialized scheduler trace, folded in
-  // machine order; 0 when collect_digest is off. Equal digests mean
-  // bit-identical schedules on every machine.
+  // Every machine's sim::TransitionLog digest, chained in machine order
+  // (machine m's fold starts from machine m-1's result); 0 when
+  // collect_digest is off. Equal digests mean bit-identical schedules on
+  // every machine.
   std::uint64_t trace_digest = 0;
 
   int worker_count = 0;

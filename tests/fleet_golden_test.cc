@@ -4,13 +4,16 @@
 // byte-identical for every worker count. The digest hashes every CFS
 // transition on every machine, so any reordering anywhere in the fleet
 // flips it.
+#include <algorithm>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/sim_time.h"
 #include "exp/fleet.h"
+#include "spe/flavor.h"
 
 namespace lachesis {
 namespace {
@@ -96,6 +99,36 @@ TEST(FleetGoldenTest, ChurnPlacementIsWorkerCountInvariant) {
   EXPECT_EQ(sequential.queries_attached, parallel.queries_attached);
   EXPECT_EQ(sequential.queries_detached, parallel.queries_detached);
   ExpectIdentical(sequential, parallel);
+}
+
+// The repository's golden fleet run (the benchmark's fleet workload at
+// fleet seed 12): 12 machines x 4 cores, 5 Storm queries each at 400 t/s,
+// queue-size/nice, 5 s warm-up + 15 s measured. Its digest chains every
+// machine's transition log, so this pins the digest format and the whole
+// fleet schedule at once.
+TEST(FleetGoldenTest, BenchmarkFleetMatchesGoldenDigest) {
+  exp::FleetSpec spec;
+  spec.label = "fleet";
+  spec.machines = 12;
+  spec.cores = 4;
+  spec.queries_per_machine = 5;
+  spec.rate_tps = 400;
+  spec.flavor = spe::StormFlavor();
+  spec.scheduler.kind = exp::SchedulerKind::kLachesis;
+  spec.scheduler.policy = exp::PolicyKind::kQueueSize;
+  spec.scheduler.translator = exp::TranslatorKind::kNice;
+  spec.warmup = Seconds(5);
+  spec.measure = Seconds(15);
+  spec.seed = 12;
+  spec.collect_digest = true;
+  const int parallel = static_cast<int>(
+      std::min(4u, std::max(1u, std::thread::hardware_concurrency())));
+  for (const int workers : {1, parallel}) {
+    spec.workers = workers;
+    const exp::FleetResult r = exp::RunFleet(spec);
+    EXPECT_EQ(r.trace_digest, 0xa2bd847d141abf04ULL) << "workers " << workers;
+    EXPECT_EQ(r.throughput_tps, 24000) << "workers " << workers;
+  }
 }
 
 // Chaos soak: a denser fleet with churn, run start-to-finish on the pool.

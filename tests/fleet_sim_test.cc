@@ -5,7 +5,6 @@
 // shard/worker/thread configurations.
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,10 +16,10 @@
 #include "sim/fleet.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
+#include "sim/transition_log.h"
 #include "spe/logical.h"
 #include "spe/runtime.h"
 #include "spe/source.h"
-#include "spe/trace.h"
 
 namespace lachesis {
 namespace {
@@ -285,33 +284,18 @@ struct FuzzSpinner final : sim::ThreadBody {
   bool compute = false;
 };
 
-// Records transitions and checks per-machine time monotonicity on the fly
-// (an event executed out of order would show up as a backwards timestamp).
-class CheckingObserver final : public sim::SchedTraceObserver {
- public:
-  void OnSchedTransition(SimTime time, ThreadId tid,
-                         sim::SchedTransition kind) override {
-    EXPECT_GE(time, last_) << "per-machine trace went backwards";
-    last_ = time;
-    records_.push_back({time, static_cast<std::int64_t>(tid.value()), 0.0,
-                        static_cast<std::uint32_t>(kind)});
-  }
-  [[nodiscard]] std::uint64_t Digest() const {
-    std::ostringstream out;
-    spe::WriteTrace(out, records_);
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (const char c : out.str()) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ULL;
+// Per-machine time monotonicity: an event executed out of order would show
+// up as a backwards timestamp in the machine's transition log.
+void ExpectMonotonic(const sim::TransitionLog& trace) {
+  SimTime last = 0;
+  for (const sim::TransitionRecord& r : trace.records()) {
+    if (r.at < last) {
+      ADD_FAILURE() << "per-machine trace went backwards at t=" << r.at;
+      return;
     }
-    return hash;
+    last = r.at;
   }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
- private:
-  SimTime last_ = 0;
-  std::vector<spe::TraceRecord> records_;
-};
+}
 
 struct FuzzOutcome {
   std::vector<std::uint64_t> digests;          // per machine
@@ -327,14 +311,14 @@ FuzzOutcome RunFuzzCase(std::uint64_t seed, int shards, int workers,
   Rng rng(seed);
   FleetSimulator fleet(shards, workers, epoch);
   std::vector<std::unique_ptr<sim::Machine>> machines;
-  std::vector<std::unique_ptr<CheckingObserver>> observers;
+  std::vector<std::unique_ptr<sim::TransitionLog>> traces;
   for (int s = 0; s < shards; ++s) {
     const int cores = 1 + static_cast<int>(rng.NextBounded(3));
     machines.push_back(std::make_unique<sim::Machine>(
         fleet.shard(static_cast<std::size_t>(s)), cores, sim::CfsParams{},
         "m" + std::to_string(s)));
-    observers.push_back(std::make_unique<CheckingObserver>());
-    machines.back()->set_trace_observer(observers.back().get());
+    traces.push_back(std::make_unique<sim::TransitionLog>());
+    machines.back()->set_trace_observer(traces.back().get());
     const int threads = 1 + static_cast<int>(rng.NextBounded(4));
     for (int t = 0; t < threads; ++t) {
       machines.back()->CreateThread(
@@ -371,7 +355,9 @@ FuzzOutcome RunFuzzCase(std::uint64_t seed, int shards, int workers,
 
   FuzzOutcome outcome;
   for (int s = 0; s < shards; ++s) {
-    outcome.digests.push_back(observers[static_cast<std::size_t>(s)]->Digest());
+    const sim::TransitionLog& trace = *traces[static_cast<std::size_t>(s)];
+    ExpectMonotonic(trace);
+    outcome.digests.push_back(trace.Digest());
     outcome.busy.push_back(machines[static_cast<std::size_t>(s)]->total_busy_time());
     SimDuration cpu = 0;
     const auto& m = *machines[static_cast<std::size_t>(s)];
@@ -438,10 +424,10 @@ std::uint64_t CrossMachineRun(int workers, std::uint64_t* delivered) {
   FleetSimulator fleet(2, workers, epoch);
   sim::Machine m0(fleet.shard(0), 2, sim::CfsParams{}, "m0");
   sim::Machine m1(fleet.shard(1), 2, sim::CfsParams{}, "m1");
-  CheckingObserver o0;
-  CheckingObserver o1;
-  m0.set_trace_observer(&o0);
-  m1.set_trace_observer(&o1);
+  sim::TransitionLog trace0;
+  sim::TransitionLog trace1;
+  m0.set_trace_observer(&trace0);
+  m1.set_trace_observer(&trace1);
 
   spe::SpeInstance instance(spe::StormFlavor(),
                             std::vector<sim::Machine*>{&m0, &m1}, "x");
@@ -476,9 +462,9 @@ std::uint64_t CrossMachineRun(int workers, std::uint64_t* delivered) {
   EXPECT_GT(egress_in, 100u);
   if (delivered != nullptr) *delivered = fleet.stats().cross_delivered;
 
-  std::uint64_t hash = o0.Digest();
-  hash ^= o1.Digest() * 1099511628211ULL;
-  return hash;
+  ExpectMonotonic(trace0);
+  ExpectMonotonic(trace1);
+  return trace1.Digest(trace0.Digest());
 }
 
 TEST(FleetSimTest, CrossMachineDataflowIsWorkerCountIndependent) {

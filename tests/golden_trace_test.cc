@@ -1,15 +1,14 @@
 // Golden-trace determinism test for the discrete-event CFS core.
 //
 // Every scheduler transition (wake, dispatch, preempt, block, sleep, exit)
-// of a fixed-seed scenario is serialized through the trace format
-// (spe::WriteTrace) and FNV-1a hashed. The digests are asserted equal
+// of a fixed-seed scenario is recorded in a sim::TransitionLog and hashed
+// with its Digest(). The digests are asserted equal
 // across repeated runs at each core count AND against hard-coded golden
 // values captured from the reference implementation, so any change to the
 // event queue, runqueues, or wakeup path that perturbs the deterministic
 // schedule -- however subtly -- fails loudly here.
 #include <cstdint>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,41 +17,13 @@
 #include "common/sim_time.h"
 #include "sim/machine.h"
 #include "sim/simulator.h"
+#include "sim/transition_log.h"
 #include "spe/logical.h"
 #include "spe/runtime.h"
 #include "spe/source.h"
-#include "spe/trace.h"
 
 namespace lachesis {
 namespace {
-
-class DigestObserver final : public sim::SchedTraceObserver {
- public:
-  void OnSchedTransition(SimTime time, ThreadId tid,
-                         sim::SchedTransition kind) override {
-    records_.push_back({time, static_cast<std::int64_t>(tid.value()), 0.0,
-                        static_cast<std::uint32_t>(kind)});
-  }
-
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  // Serializes through the on-disk trace format before hashing so a digest
-  // mismatch can be debugged by dumping the same bytes to a file.
-  [[nodiscard]] std::uint64_t Digest() const {
-    std::ostringstream out;
-    spe::WriteTrace(out, records_);
-    const std::string bytes = out.str();
-    std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
-    for (const char c : bytes) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ULL;
-    }
-    return hash;
-  }
-
- private:
-  std::vector<spe::TraceRecord> records_;
-};
 
 spe::LogicalQuery Pipeline(const std::string& name, int transforms,
                            SimDuration cost) {
@@ -77,8 +48,8 @@ spe::LogicalQuery Pipeline(const std::string& name, int transforms,
 std::uint64_t SpeScenarioDigest(int cores) {
   sim::Simulator sim;
   sim::Machine machine(sim, cores);
-  DigestObserver observer;
-  machine.set_trace_observer(&observer);
+  sim::TransitionLog trace;
+  machine.set_trace_observer(&trace);
   spe::SpeInstance instance(spe::StormFlavor(),
                             std::vector<sim::Machine*>{&machine}, "golden");
   spe::DeployedQuery& q1 = instance.Deploy(Pipeline("q1", 3, Micros(60)), {});
@@ -94,8 +65,8 @@ std::uint64_t SpeScenarioDigest(int cores) {
   s1.Start(2500, Seconds(2));
   s2.Start(1700, Seconds(2));
   sim.RunUntil(Seconds(3));
-  EXPECT_GT(observer.size(), 1000u);
-  return observer.Digest();
+  EXPECT_GT(trace.size(), 1000u);
+  return trace.Digest();
 }
 
 struct Spinner final : sim::ThreadBody {
@@ -157,8 +128,8 @@ struct Consumer final : sim::ThreadBody {
 std::uint64_t MachineScenarioDigest(int cores, sim::CfsParams params = {}) {
   sim::Simulator sim;
   sim::Machine machine(sim, cores, params);
-  DigestObserver observer;
-  machine.set_trace_observer(&observer);
+  sim::TransitionLog trace;
+  machine.set_trace_observer(&trace);
 
   const CgroupId heavy = machine.CreateCgroup("heavy", machine.root_cgroup(), 2048);
   const CgroupId light = machine.CreateCgroup("light", machine.root_cgroup(), 512);
@@ -188,8 +159,8 @@ std::uint64_t MachineScenarioDigest(int cores, sim::CfsParams params = {}) {
   sim.ScheduleAt(Millis(1300), [&] { machine.SetShares(heavy, 256); });
 
   sim.RunUntil(Seconds(3));
-  EXPECT_GT(observer.size(), 500u);
-  return observer.Digest();
+  EXPECT_GT(trace.size(), 500u);
+  return trace.Digest();
 }
 
 // Golden digests captured from the seed (std::priority_queue + std::set)
