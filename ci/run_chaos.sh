@@ -35,6 +35,11 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # fleet_golden_test) run here too: Digest() formats every record into a
 # fixed-size stack buffer, and the widest line is exactly what ASan catches
 # writing past its end.
+# The control-tick suites (metric_provider_test, policies_test,
+# translators_test, transform_test, runner_test) run here too: schedules
+# point into the metric provider's entity snapshot, and a schedule read
+# after the snapshot was replaced is exactly the use-after-free ASan
+# catches.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
@@ -42,7 +47,9 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
            hetero_machine_test conformance_test \
            tsdb_test sim_driver_test native_driver_test driver_contract_test \
            fleet_sim_test fleet_chaos_test \
-           transition_log_test golden_trace_test fleet_golden_test
+           transition_log_test golden_trace_test fleet_golden_test \
+           metric_provider_test policies_test translators_test \
+           transform_test runner_test
 
 status=0
 for t in fault_tolerance_test failure_injection_test \
@@ -51,7 +58,8 @@ for t in fault_tolerance_test failure_injection_test \
          hetero_machine_test conformance_test \
          tsdb_test sim_driver_test native_driver_test driver_contract_test \
          fleet_sim_test transition_log_test golden_trace_test \
-         fleet_golden_test; do
+         fleet_golden_test metric_provider_test policies_test \
+         translators_test transform_test runner_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done
 # The soak's epoch count is trimmed under sanitizers: the schedule is a

@@ -56,10 +56,11 @@ int main() {
   auto switchable = std::make_unique<core::SwitchablePolicy>(
       std::move(candidates), [](const core::PolicyContext& ctx) -> std::size_t {
         double max_age = 0;
-        ctx.ForEachEntity([&](core::SpeDriver& d, const core::EntityInfo& e) {
+        ctx.ForEachEntity([&](core::SpeDriver& d, const core::EntityInfo&,
+                              std::size_t slot) {
           max_age = std::max(
-              max_age, ctx.provider->Value(d, core::MetricId::kHeadTupleAge,
-                                           e.id));
+              max_age,
+              ctx.provider->Column(d, core::MetricId::kHeadTupleAge)[slot]);
         });
         return max_age > static_cast<double>(Millis(250)) ? 1 : 0;
       });

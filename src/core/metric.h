@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,8 +70,10 @@ class MetricResolver {
  public:
   virtual ~MetricResolver() = default;
   virtual double Get(MetricId metric, const EntityInfo& entity) = 0;
-  // Entities of the same query (for path metrics).
-  virtual const std::vector<EntityInfo>& QueryEntities(QueryId query) = 0;
+  // Entities of the same query (for path metrics), in snapshot order. The
+  // pointers reference the provider's entity snapshot and are valid for the
+  // rest of the period; empty for a query the driver does not deploy.
+  virtual std::span<const EntityInfo* const> QueryEntities(QueryId query) = 0;
   virtual const LogicalTopology& Topology(QueryId query) = 0;
   // The provider's update window (policies' period GCD).
   [[nodiscard]] virtual SimDuration window() const = 0;

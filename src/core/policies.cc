@@ -1,25 +1,57 @@
 #include "core/policies.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "core/transform.h"
 
 namespace lachesis::core {
 
+namespace {
+
+// Reads one metric's column for the entities ForEachEntity visits, looking
+// the column up once per driver.
+class ColumnReader {
+ public:
+  ColumnReader(const MetricProvider& provider, MetricId metric)
+      : provider_(&provider), metric_(metric) {}
+
+  double operator()(const SpeDriver& driver, std::size_t slot) {
+    if (&driver != driver_) {
+      column_ = provider_->Column(driver, metric_);
+      driver_ = &driver;
+    }
+    return column_[slot];
+  }
+
+ private:
+  const MetricProvider* provider_;
+  MetricId metric_;
+  const SpeDriver* driver_ = nullptr;
+  std::span<const double> column_;
+};
+
+}  // namespace
+
 Schedule SingleMetricPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule;
   schedule.spacing = spacing_;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    schedule.entries.push_back({e, ctx.provider->Value(driver, metric_, e.id)});
-  });
+  schedule.entries.reserve(ctx.EntityBound());
+  ColumnReader value(*ctx.provider, metric_);
+  ctx.ForEachEntity(
+      [&](SpeDriver& driver, const EntityInfo& e, std::size_t slot) {
+        schedule.entries.push_back({&e, value(driver, slot)});
+      });
   return schedule;
 }
 
 Schedule RandomPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule;
   schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver&, const EntityInfo& e) {
-    schedule.entries.push_back({e, ctx.rng->NextDouble()});
+  schedule.entries.reserve(ctx.EntityBound());
+  ctx.ForEachEntity([&](SpeDriver&, const EntityInfo& e, std::size_t) {
+    schedule.entries.push_back({&e, ctx.rng->NextDouble()});
   });
   return schedule;
 }
@@ -27,14 +59,18 @@ Schedule RandomPolicy::ComputeSchedule(const PolicyContext& ctx) {
 Schedule MinMemoryPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule;
   schedule.spacing = PrioritySpacing::kLinear;
-  ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-    const double cost = ctx.provider->Value(driver, MetricId::kCost, e.id);
-    const double sel = ctx.provider->Value(driver, MetricId::kSelectivity, e.id);
-    // Data shed per CPU nanosecond; negative for expanding operators, which
-    // correctly deprioritizes them when memory is the goal.
-    const double priority = cost > 0 ? (1.0 - sel) / cost : 0.0;
-    schedule.entries.push_back({e, priority});
-  });
+  schedule.entries.reserve(ctx.EntityBound());
+  ColumnReader cost_of(*ctx.provider, MetricId::kCost);
+  ColumnReader sel_of(*ctx.provider, MetricId::kSelectivity);
+  ctx.ForEachEntity(
+      [&](SpeDriver& driver, const EntityInfo& e, std::size_t slot) {
+        const double cost = cost_of(driver, slot);
+        const double sel = sel_of(driver, slot);
+        // Data shed per CPU nanosecond; negative for expanding operators,
+        // which correctly deprioritizes them when memory is the goal.
+        const double priority = cost > 0 ? (1.0 - sel) / cost : 0.0;
+        schedule.entries.push_back({&e, priority});
+      });
   return schedule;
 }
 
@@ -73,7 +109,7 @@ Schedule CriticalChainPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule = inner_->ComputeSchedule(ctx);
   for (ScheduleEntry& entry : schedule.entries) {
     for (const std::string& query : critical_queries_) {
-      if (entry.entity.query_name == query) {
+      if (entry.entity->query_name == query) {
         entry.criticality = Criticality::kLatencyCritical;
         break;
       }
@@ -85,25 +121,36 @@ Schedule CriticalChainPolicy::ComputeSchedule(const PolicyContext& ctx) {
 Schedule LogicalPriorityPolicy::ComputeSchedule(const PolicyContext& ctx) {
   Schedule schedule;
   schedule.spacing = PrioritySpacing::kLinear;
+  std::vector<const EntityInfo*> scheduled;
   for (SpeDriver* driver : ctx.drivers) {
-    // Group this driver's entities by query, then apply Algorithm 2 to each
-    // query that has configured logical priorities.
-    std::map<QueryId, std::vector<EntityInfo>> by_query;
-    std::map<QueryId, std::string> query_names;
+    // Group this driver's scheduled entities by query (ascending id,
+    // snapshot order within a query), then apply Algorithm 2 to each query
+    // that has configured logical priorities.
+    scheduled.clear();
     for (const EntityInfo& e : ctx.provider->EntitiesOf(*driver)) {
-      if (ctx.filter && !ctx.filter(e)) continue;
-      by_query[e.query].push_back(e);
-      query_names[e.query] = e.query_name;
+      if (!ctx.filter || ctx.filter(e)) scheduled.push_back(&e);
     }
-    for (const auto& [query, entities] : by_query) {
-      const auto it = priorities_.find(query_names[query]);
-      if (it == priorities_.end()) continue;
-      LogicalSchedule logical;
-      logical.query = query;
-      logical.priorities = it->second;
-      const auto physical = TransformLogicalSchedule(logical, entities);
-      schedule.entries.insert(schedule.entries.end(), physical.begin(),
-                              physical.end());
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [](const EntityInfo* a, const EntityInfo* b) {
+                       return a->query < b->query;
+                     });
+    for (auto run = scheduled.begin(); run != scheduled.end();) {
+      const QueryId query = (*run)->query;
+      const auto end = std::find_if(run, scheduled.end(),
+                                    [query](const EntityInfo* e) {
+                                      return e->query != query;
+                                    });
+      const auto it = priorities_.find((*run)->query_name);
+      if (it != priorities_.end()) {
+        LogicalSchedule logical;
+        logical.query = query;
+        logical.priorities = it->second;
+        const auto physical = TransformLogicalSchedule(
+            logical, std::span<const EntityInfo* const>(run, end));
+        schedule.entries.insert(schedule.entries.end(), physical.begin(),
+                                physical.end());
+      }
+      run = end;
     }
   }
   return schedule;

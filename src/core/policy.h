@@ -7,6 +7,7 @@
 #ifndef LACHESIS_CORE_POLICY_H_
 #define LACHESIS_CORE_POLICY_H_
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -28,14 +29,28 @@ struct PolicyContext {
   SimTime now = 0;
   Rng* rng = nullptr;
 
-  // Invokes `fn` for every scheduled (driver, entity) pair.
-  void ForEachEntity(
-      const std::function<void(SpeDriver&, const EntityInfo&)>& fn) const {
+  // Invokes fn(driver, entity, slot) for every scheduled entity. `entity`
+  // lives in the provider's snapshot and `slot` indexes the driver's
+  // metric columns: provider->Column(driver, m)[slot].
+  template <typename Fn>
+  void ForEachEntity(Fn&& fn) const {
     for (SpeDriver* driver : drivers) {
-      for (const EntityInfo& e : provider->EntitiesOf(*driver)) {
-        if (!filter || filter(e)) fn(*driver, e);
+      const std::vector<EntityInfo>& entities = provider->EntitiesOf(*driver);
+      for (std::size_t slot = 0; slot < entities.size(); ++slot) {
+        if (!filter || filter(entities[slot])) {
+          fn(*driver, entities[slot], slot);
+        }
       }
     }
+  }
+
+  // Entities ForEachEntity can visit before filtering (a reserve bound).
+  [[nodiscard]] std::size_t EntityBound() const {
+    std::size_t bound = 0;
+    for (SpeDriver* driver : drivers) {
+      bound += provider->EntitiesOf(*driver).size();
+    }
+    return bound;
   }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <tuple>
 
 namespace lachesis::core {
@@ -62,6 +61,10 @@ std::size_t LachesisRunner::AddQuery(PolicyBinding binding) {
   assert(!binding.drivers.empty());
   Bound bound;
   bound.binding = std::move(binding);
+  bound.context.provider = &provider_;
+  bound.context.drivers = bound.binding.drivers;
+  bound.context.filter = bound.binding.filter;
+  bound.context.rng = &rng_;
   bindings_.push_back(std::move(bound));
   const std::size_t index = bindings_.size() - 1;
   if (started_) {
@@ -235,25 +238,32 @@ void LachesisRunner::Tick() {
     // the native backend the drivers poll their engine first (re-scan
     // /proc, tail the metric file); the sim drivers read the scraped store
     // and poll nothing.
-    std::set<SpeDriver*> driver_set;
+    // The due drivers, deduplicated in pointer order, in reused scratch.
+    tick_drivers_.clear();
     SimDuration window = 0;
     for (const Bound& bound : bindings_) {
       if (!due(bound)) continue;
-      driver_set.insert(bound.binding.drivers.begin(),
-                        bound.binding.drivers.end());
+      tick_drivers_.insert(tick_drivers_.end(), bound.binding.drivers.begin(),
+                           bound.binding.drivers.end());
       window = window == 0 ? bound.binding.period
                            : std::min(window, bound.binding.period);
     }
-    for (SpeDriver* driver : driver_set) driver->Poll(now);
-    provider_.Update({driver_set.begin(), driver_set.end()}, window);
+    std::sort(tick_drivers_.begin(), tick_drivers_.end());
+    tick_drivers_.erase(
+        std::unique(tick_drivers_.begin(), tick_drivers_.end()),
+        tick_drivers_.end());
+    for (SpeDriver* driver : tick_drivers_) driver->Poll(now);
+    provider_.Update(tick_drivers_, window);
     if (recorder_.verbose()) {
       // Per-entity metric samples are provenance gold but O(entities) per
       // tick, so they ride behind the same verbose gate as elisions.
-      for (SpeDriver* driver : driver_set) {
-        for (const EntityInfo& entity : provider_.EntitiesOf(*driver)) {
+      for (SpeDriver* driver : tick_drivers_) {
+        const std::vector<EntityInfo>& entities = provider_.EntitiesOf(*driver);
+        for (std::size_t slot = 0; slot < entities.size(); ++slot) {
           for (const MetricId metric : provider_.registered()) {
-            recorder_.MetricSample(now, entity.path, MetricName(metric),
-                                   provider_.Value(*driver, metric, entity.id));
+            recorder_.MetricSample(now, entities[slot].path,
+                                   MetricName(metric),
+                                   provider_.Column(*driver, metric)[slot]);
           }
         }
       }
@@ -265,13 +275,8 @@ void LachesisRunner::Tick() {
       Bound& bound = bindings_[index];
       if (!due(bound)) continue;
       PolicyBinding& b = bound.binding;
-      PolicyContext ctx;
-      ctx.provider = &provider_;
-      ctx.drivers = b.drivers;
-      ctx.filter = b.filter;
-      ctx.now = now;
-      ctx.rng = &rng_;
-      const Schedule schedule = b.policy->ComputeSchedule(ctx);
+      bound.context.now = now;
+      const Schedule schedule = b.policy->ComputeSchedule(bound.context);
       recorder_.ScheduleComputed(now, static_cast<int>(index),
                                  static_cast<int>(schedule.entries.size()),
                                  b.policy->name());
@@ -309,10 +314,14 @@ void LachesisRunner::Tick() {
   if (observer_) observer_(info);
   // L9: sleep until the next check. Anchoring on the scheduled wake time
   // (not the dispatch time) keeps the native backend drift-free; in the
-  // simulator the two are identical. If a tick overran a whole interval,
-  // fall back to "now" instead of firing a catch-up burst.
+  // simulator the two are identical. If this wakeup came a whole interval
+  // late, fall back to "now" instead of firing a catch-up burst, and count
+  // the dropped period.
   SimTime next = next_wake_ + WakeInterval();
-  if (next <= now) next = now + WakeInterval();
+  if (next <= now) {
+    ++tick_overruns_total_;
+    next = now + WakeInterval();
+  }
   if (next <= until_) ScheduleNext(next);
 }
 
@@ -334,6 +343,8 @@ obs::SelfMetricsSnapshot LachesisRunner::CollectSelfMetrics() const {
   return {
       {"lachesis_ticks_total", static_cast<double>(ticks_total_)},
       {"lachesis_idle_ticks_total", static_cast<double>(idle_ticks_total_)},
+      {"lachesis_tick_overruns_total",
+       static_cast<double>(tick_overruns_total_)},
       {"lachesis_policies_run_total",
        static_cast<double>(policies_run_total_)},
       {"lachesis_schedules_applied_total",

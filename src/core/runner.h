@@ -184,6 +184,10 @@ class LachesisRunner {
     SimTime next_run = 0;
     // Active ladder rung (0 = primary translator).
     std::size_t level = 0;
+    // The policy's context, built at attach and reused every run (only
+    // `now` changes), so a tick copies neither the driver list nor the
+    // filter.
+    PolicyContext context;
   };
 
   void Tick();
@@ -210,6 +214,9 @@ class LachesisRunner {
   std::uint64_t schedules_applied_ = 0;
   std::uint64_t ticks_total_ = 0;
   std::uint64_t idle_ticks_total_ = 0;
+  std::uint64_t tick_overruns_total_ = 0;
+  // Per-tick scratch: the due bindings' drivers.
+  std::vector<SpeDriver*> tick_drivers_;
   std::uint64_t policies_run_total_ = 0;
   std::size_t last_reconcile_seeded_ = 0;
   obs::Recorder recorder_;

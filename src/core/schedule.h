@@ -31,8 +31,13 @@ enum class Criticality : std::uint8_t {
   kLatencyCritical = 1,  // deserves a deadline/RT guarantee if available
 };
 
+// Schedules do not own their entities. An entry points into the entity
+// snapshot the metric provider took at its last Update
+// (MetricProvider::EntitiesOf), so a schedule is valid until the provider's
+// next Update: compute and apply it within one period, and copy out what a
+// translator must remember across periods (e.g. a ThreadHandle).
 struct ScheduleEntry {
-  EntityInfo entity;
+  const EntityInfo* entity;
   double priority;  // higher = more CPU
   Criticality criticality = Criticality::kNormal;
 };
@@ -43,11 +48,12 @@ struct Schedule {
 };
 
 // Grouping schedule: gid -> (priority, member threads); produced by
-// translators that group entities (per query, per operator, ...).
+// translators that group entities (per query, per operator, ...). Members
+// point where the schedule's entries do.
 struct ScheduleGroup {
   std::string gid;
   double priority;
-  std::vector<EntityInfo> members;
+  std::vector<const EntityInfo*> members;
 };
 
 struct GroupingSchedule {

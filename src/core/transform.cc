@@ -5,11 +5,12 @@
 namespace lachesis::core {
 
 std::vector<ScheduleEntry> TransformLogicalSchedule(
-    const LogicalSchedule& logical, const std::vector<EntityInfo>& entities,
+    const LogicalSchedule& logical, std::span<const EntityInfo* const> entities,
     FusionAggregate aggregate) {
   std::vector<ScheduleEntry> out;
   out.reserve(entities.size());
-  for (const EntityInfo& e : entities) {  // each physical op (incl. replicas)
+  for (const EntityInfo* entity : entities) {  // each physical op, replicas too
+    const EntityInfo& e = *entity;
     if (e.query != logical.query) continue;
     double priority = 0.0;
     bool first = true;
@@ -40,7 +41,7 @@ std::vector<ScheduleEntry> TransformLogicalSchedule(
     if (aggregate == FusionAggregate::kMean && contributors > 1) {
       priority /= contributors;
     }
-    out.push_back({e, priority});
+    out.push_back({entity, priority});
   }
   return out;
 }

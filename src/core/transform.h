@@ -10,6 +10,7 @@
 #ifndef LACHESIS_CORE_TRANSFORM_H_
 #define LACHESIS_CORE_TRANSFORM_H_
 
+#include <span>
 #include <vector>
 
 #include "core/schedule.h"
@@ -19,10 +20,11 @@ namespace lachesis::core {
 enum class FusionAggregate { kMax, kMin, kSum, kMean };
 
 // Algorithm 2 with a configurable fusion aggregate (kMax reproduces the
-// paper's example). `entities` are the physical operators of the schedule's
-// query; operators without a priority entry keep priority 0.
+// paper's example). `entities` are physical operators; those of other
+// queries are skipped, and operators without a priority entry keep
+// priority 0. Each output entry points at its input entity.
 std::vector<ScheduleEntry> TransformLogicalSchedule(
-    const LogicalSchedule& logical, const std::vector<EntityInfo>& entities,
+    const LogicalSchedule& logical, std::span<const EntityInfo* const> entities,
     FusionAggregate aggregate = FusionAggregate::kMax);
 
 }  // namespace lachesis::core

@@ -30,7 +30,7 @@ void NiceTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     }
   }
   for (std::size_t i = 0; i < schedule.entries.size(); ++i) {
-    os.SetNice(schedule.entries[i].entity.thread, nices[i]);
+    os.SetNice(schedule.entries[i].entity->thread, nices[i]);
   }
 }
 
@@ -44,7 +44,7 @@ CpuSharesTranslator::CpuSharesTranslator(GroupKeyFn group_of)
 GroupingSchedule CpuSharesTranslator::BuildGroups(const Schedule& schedule) const {
   std::map<std::string, ScheduleGroup> groups;
   for (const ScheduleEntry& entry : schedule.entries) {
-    const std::string gid = group_of_(entry.entity);
+    const std::string gid = group_of_(*entry.entity);
     auto [it, inserted] = groups.try_emplace(gid);
     if (inserted) {
       it->second.gid = gid;
@@ -77,8 +77,8 @@ void CpuSharesTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   for (std::size_t i = 0; i < grouping.groups.size(); ++i) {
     const ScheduleGroup& group = grouping.groups[i];
     os.SetGroupShares(group.gid, shares[i]);
-    for (const EntityInfo& member : group.members) {
-      os.MoveToGroup(member.thread, group.gid);
+    for (const EntityInfo* member : group.members) {
+      os.MoveToGroup(member->thread, group.gid);
     }
   }
 }
@@ -106,8 +106,8 @@ void QuotaTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     os.SetGroupQuota(group.gid, static_cast<SimDuration>(
                                     cores * static_cast<double>(period_)),
                      period_);
-    for (const EntityInfo& member : group.members) {
-      os.MoveToGroup(member.thread, group.gid);
+    for (const EntityInfo* member : group.members) {
+      os.MoveToGroup(member->thread, group.gid);
     }
   }
 }
@@ -123,11 +123,11 @@ void RtBoostTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   // dropped from the schedule (operator terminated) cannot keep a stale RT
   // boost. The delta layer skips demotions already applied.
   for (const auto& [path, thread] : boosted_) {
-    if (path != top->entity.path) os.SetRtPriority(thread, 0);
+    if (path != top->entity->path) os.SetRtPriority(thread, 0);
   }
-  os.SetRtPriority(top->entity.thread, rt_priority_);
+  os.SetRtPriority(top->entity->thread, rt_priority_);
   boosted_.clear();
-  boosted_.emplace(top->entity.path, top->entity.thread);
+  boosted_.emplace(top->entity->path, top->entity->thread);
   nice_.Apply(schedule, os);
 }
 
@@ -137,7 +137,7 @@ void DeadlineTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   std::map<std::string, ThreadHandle> critical;
   for (const ScheduleEntry& entry : schedule.entries) {
     if (entry.criticality == Criticality::kLatencyCritical) {
-      critical.emplace(entry.entity.path, entry.entity.thread);
+      critical.emplace(entry.entity->path, entry.entity->thread);
     }
   }
   if (critical.empty()) {
@@ -145,7 +145,7 @@ void DeadlineTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     for (const ScheduleEntry& entry : schedule.entries) {
       if (entry.priority > top->priority) top = &entry;
     }
-    critical.emplace(top->entity.path, top->entity.thread);
+    critical.emplace(top->entity->path, top->entity->thread);
   }
   // Reconcile: clear every reservation whose holder left the critical set,
   // via the stored handle (the entity may be gone from the schedule). The
@@ -184,7 +184,7 @@ void CapacityHintTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
     const ScheduleEntry& entry = *by_priority[i];
     if (i < big_count ||
         entry.criticality == Criticality::kLatencyCritical) {
-      big.emplace(entry.entity.path, entry.entity.thread);
+      big.emplace(entry.entity->path, entry.entity->thread);
     }
   }
   for (const auto& [path, thread] : hinted_) {
@@ -201,9 +201,9 @@ void CapacityHintTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
 void QuerySharesPlusNiceTranslator::Apply(const Schedule& schedule,
                                           OsAdapter& os) {
   for (const ScheduleEntry& entry : schedule.entries) {
-    const std::string gid = "query-" + entry.entity.query_name;
+    const std::string gid = "query-" + entry.entity->query_name;
     os.SetGroupShares(gid, query_shares_);
-    os.MoveToGroup(entry.entity.thread, gid);
+    os.MoveToGroup(entry.entity->thread, gid);
   }
   nice_.Apply(schedule, os);
 }

@@ -29,6 +29,9 @@ inline constexpr MetricDef kSelfMetricCatalog[] = {
      "Control-loop ticks executed since start."},
     {"lachesis_idle_ticks_total", "counter", "1",
      "Ticks in which no policy was due (pure wake-and-sleep)."},
+    {"lachesis_tick_overruns_total", "counter", "1",
+     "Wakeups dispatched a whole wake interval late (e.g. after a tick that "
+     "overran); the missed period is skipped, not caught up."},
     {"lachesis_policies_run_total", "counter", "1",
      "Policy evaluations across all bindings and ticks."},
     {"lachesis_schedules_applied_total", "counter", "1",

@@ -329,12 +329,15 @@ std::uint64_t NativeRuntime::SourceEmitted(std::size_t query_index) const {
 }
 
 const std::set<RawMetric>& NativeRuntime::ExposedMetrics() {
+  // No kAvgExecLatencyUs: its only use is kCost, which the raw -> Lachesis
+  // table reads from the measured kCost series first, so the latency series
+  // would be stored every Poll and never read.
   static const std::set<RawMetric> kExposed = {
-      RawMetric::kTuplesIn,        RawMetric::kTuplesOut,
-      RawMetric::kQueueSize,       RawMetric::kBufferUsage,
-      RawMetric::kBufferCapacity,  RawMetric::kAvgExecLatencyUs,
-      RawMetric::kBusyTimeNs,      RawMetric::kCost,
-      RawMetric::kSelectivity,     RawMetric::kQueueHighWater,
+      RawMetric::kTuplesIn,       RawMetric::kTuplesOut,
+      RawMetric::kQueueSize,      RawMetric::kBufferUsage,
+      RawMetric::kBufferCapacity, RawMetric::kBusyTimeNs,
+      RawMetric::kCost,           RawMetric::kSelectivity,
+      RawMetric::kQueueHighWater,
   };
   return kExposed;
 }

@@ -18,14 +18,19 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/op_health.h"
+#include "core/policies.h"
+#include "core/runner.h"
 #include "core/schedule_delta.h"
 #include "core/sim_driver.h"
+#include "core/sim_executor.h"
+#include "core/translators.h"
 #include "obs/recorder.h"
 #include "osctl/native_runtime_driver.h"
 #include "sim/simulator.h"
@@ -324,6 +329,92 @@ TEST(AllocRegressionTest, NativePollAndFetchAllocateNothingOnceRingsWrap) {
   EXPECT_EQ(AllocCount() - before, 0u)
       << "steady-state polls and fetches must not touch the heap";
   EXPECT_GT(sum, 0.0);
+}
+
+// A steady engine for the whole-tick pin: fixed queue sizes, and an
+// Entities() that counts the allocations its own by-value copy makes, so
+// the test can subtract what the SpeDriver interface forces on the driver.
+class SteadyDriver final : public SpeDriver {
+ public:
+  explicit SteadyDriver(int targets) {
+    for (int i = 0; i < targets; ++i) {
+      EntityInfo e;
+      e.id = OperatorId(static_cast<std::uint64_t>(i));
+      e.path = "spe.q" + std::to_string(i / 100) + ".op" + std::to_string(i);
+      e.query = QueryId(static_cast<std::uint64_t>(i / 100));
+      e.query_name = "q" + std::to_string(i / 100);
+      e.logical_indices = {i % 100};
+      e.thread = HandleFor(i);
+      entities_.push_back(e);
+    }
+  }
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  std::vector<EntityInfo> Entities() override {
+    const std::uint64_t before = AllocCount();
+    std::vector<EntityInfo> copy = entities_;
+    entities_allocs_ += AllocCount() - before;
+    return copy;
+  }
+  const LogicalTopology& Topology(QueryId) override { return topology_; }
+  [[nodiscard]] bool Provides(MetricId metric) const override {
+    return metric == MetricId::kQueueSize;
+  }
+  double Fetch(MetricId, const EntityInfo& entity) override {
+    return static_cast<double>(entity.id.value() * 7919 % 1000);
+  }
+  [[nodiscard]] std::uint64_t entities_allocs() const {
+    return entities_allocs_;
+  }
+
+ private:
+  std::string name_ = "steady";
+  std::vector<EntityInfo> entities_;
+  LogicalTopology topology_;
+  std::uint64_t entities_allocs_ = 0;
+};
+
+// Allocations of one steady LachesisRunner tick (QueueSizePolicy +
+// NiceTranslator on the simulator's executor) that are not the driver's
+// own Entities() copy.
+std::uint64_t SteadyTickAllocs(int targets) {
+  sim::Simulator sim;
+  SimControlExecutor executor(sim);
+  NullAdapter backend;
+  SteadyDriver driver(targets);
+  LachesisRunner runner(executor, backend);
+  PolicyBinding binding;
+  binding.policy = std::make_unique<QueueSizePolicy>();
+  binding.translator = std::make_unique<NiceTranslator>();
+  binding.period = Seconds(1);
+  binding.drivers = {&driver};
+  runner.AddQuery(std::move(binding));
+  runner.Start(Seconds(100));
+  // Warmup: the first tick sizes every table, the second settles them.
+  sim.RunUntil(Seconds(3));
+  const std::uint64_t skipped_before = runner.delta_totals().skipped;
+  const std::uint64_t driver_before = driver.entities_allocs();
+  const std::uint64_t before = AllocCount();
+  sim.RunUntil(Seconds(4));
+  const std::uint64_t tick = AllocCount() - before;
+  const std::uint64_t by_driver = driver.entities_allocs() - driver_before;
+  // The tick ran and was steady: every nice write was elided.
+  EXPECT_EQ(runner.delta_totals().skipped - skipped_before,
+            static_cast<std::uint64_t>(targets));
+  EXPECT_GE(by_driver, static_cast<std::uint64_t>(targets));
+  return tick - by_driver;
+}
+
+// A whole steady tick -- poll, entity snapshot, metric resolution, policy,
+// translate, delta, record -- makes a fixed number of allocations beyond
+// the driver's Entities() copy, however many targets it schedules. A
+// per-entity allocation anywhere on the path (a map node, a copied
+// EntityInfo, vector regrowth) makes the 10k count exceed the 1k one.
+TEST(AllocRegressionTest, SteadyRunnerTickAllocationsDoNotGrowWithTargets) {
+  const std::uint64_t small = SteadyTickAllocs(1'000);
+  const std::uint64_t large = SteadyTickAllocs(10'000);
+  EXPECT_EQ(small, large) << "tick allocations beyond Entities(): " << small
+                          << " at 1k targets, " << large << " at 10k";
+  RecordProperty("tick_allocs_beyond_entities", static_cast<int>(large));
 }
 
 }  // namespace

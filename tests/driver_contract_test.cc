@@ -308,5 +308,23 @@ TEST(DriverContractPlanTest, LatencyOnlyExposurePlansConvertedCost) {
   EXPECT_EQ(both[static_cast<std::size_t>(MetricId::kCost)].suffix, "cost_ns");
 }
 
+// The native runtime stopped exposing its execute latency: the kCost row
+// already served cost from the measured series, so the latency series was
+// stored every Poll and never read. Dropping it changes no planned read.
+TEST(DriverContractPlanTest, NativePlanIsUnchangedWithoutTheLatencySeries) {
+  std::set<spe::RawMetric> exposed = spe::NativeRuntime::ExposedMetrics();
+  EXPECT_FALSE(exposed.count(spe::RawMetric::kAvgExecLatencyUs));
+  const FetchPlan plan = PlanForRawMetrics(exposed);
+  exposed.insert(spe::RawMetric::kAvgExecLatencyUs);
+  const FetchPlan with_latency = PlanForRawMetrics(exposed);
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    const char* name = MetricName(static_cast<MetricId>(i));
+    EXPECT_EQ(plan[i].suffix, with_latency[i].suffix) << name;
+    EXPECT_EQ(plan[i].read, with_latency[i].read) << name;
+    EXPECT_DOUBLE_EQ(plan[i].scale, with_latency[i].scale) << name;
+  }
+  EXPECT_EQ(plan[static_cast<std::size_t>(MetricId::kCost)].suffix, "cost_ns");
+}
+
 }  // namespace
 }  // namespace lachesis::core

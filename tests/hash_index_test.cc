@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -213,6 +214,36 @@ TEST(FlatMapTest, IterationIsDeterministicForIdenticalOpSequences) {
   build().ForEach([&](auto k, auto v) { a.push_back({k, v}); });
   build().ForEach([&](auto k, auto v) { b.push_back({k, v}); });
   EXPECT_EQ(a, b);
+}
+
+// PodHash folds keys whose size is a multiple of 8 word by word. The words
+// of a thread key (machine pointer, sim tid, os tid) must all reach the
+// table index: sequential tids under one machine fill a small table
+// evenly, and a change in any single word moves the hash.
+TEST(PodHashTest, WordWiseHashUsesEveryWordAndSpreadsSequentialKeys) {
+  struct Key {
+    std::uint64_t machine;
+    std::uint64_t sim_tid;
+    std::int64_t os_tid;
+  };
+  static_assert(sizeof(Key) == 24);
+  const PodHash<Key> hash;
+  constexpr std::size_t kBuckets = 1024;
+  std::vector<int> load(kBuckets, 0);
+  for (std::uint64_t tid = 0; tid < 8 * kBuckets; ++tid) {
+    const Key key{0x7f00'1234'5000ULL, tid, static_cast<std::int64_t>(tid)};
+    ++load[hash(key) & (kBuckets - 1)];
+    const Key other_machine{key.machine + 64, key.sim_tid, key.os_tid};
+    const Key other_sim{key.machine, key.sim_tid + (1ULL << 40), key.os_tid};
+    const Key other_os{key.machine, key.sim_tid, key.os_tid + 1};
+    EXPECT_NE(hash(key), hash(other_machine));
+    EXPECT_NE(hash(key), hash(other_sim));
+    EXPECT_NE(hash(key), hash(other_os));
+  }
+  // 8 keys per bucket on average; a hash that ignored a word's bits or
+  // clustered sequential ids would leave buckets empty or pile them up.
+  EXPECT_GT(*std::min_element(load.begin(), load.end()), 0);
+  EXPECT_LT(*std::max_element(load.begin(), load.end()), 32);
 }
 
 TEST(FlatSetTest, InsertReportsNovelty) {

@@ -81,9 +81,10 @@ class ConstantPolicy final : public core::SchedulingPolicy {
   core::Schedule ComputeSchedule(const core::PolicyContext& ctx) override {
     ++*counter_;
     core::Schedule s;
-    ctx.ForEachEntity([&](core::SpeDriver&, const core::EntityInfo& e) {
-      s.entries.push_back({e, static_cast<double>(e.id.value())});
-    });
+    ctx.ForEachEntity(
+        [&](core::SpeDriver&, const core::EntityInfo& e, std::size_t) {
+          s.entries.push_back({&e, static_cast<double>(e.id.value())});
+        });
     return s;
   }
 

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,7 +36,7 @@ struct PolicyRig {
 
 double PriorityOf(const Schedule& s, OperatorId id) {
   for (const auto& entry : s.entries) {
-    if (entry.entity.id == id) return entry.priority;
+    if (entry.entity->id == id) return entry.priority;
   }
   ADD_FAILURE() << "entity " << id << " not in schedule";
   return 0;
@@ -141,6 +143,39 @@ TEST(LogicalPriorityPolicyTest, AppliesTransformationRule) {
   EXPECT_DOUBLE_EQ(PriorityOf(s, r1.id), 5.0);
 }
 
+TEST(LogicalPriorityPolicyTest, GroupsByQueryInIdOrderAndKeepsSnapshotOrder) {
+  PolicyRig rig;
+  // Queries interleaved in the snapshot; q2 has no configured priorities
+  // and one q1 replica is filtered out.
+  const EntityInfo b0 = rig.driver.AddEntity(QueryId(1), {0}, 0);
+  const EntityInfo a0 = rig.driver.AddEntity(QueryId(0), {0});
+  rig.driver.AddEntity(QueryId(2), {0});
+  const EntityInfo b1 = rig.driver.AddEntity(QueryId(1), {0}, 1);
+  const EntityInfo a1 = rig.driver.AddEntity(QueryId(0), {1});
+  const EntityInfo b2 = rig.driver.AddEntity(QueryId(1), {1}, 0);
+
+  LogicalPriorityPolicy policy({{"q0", {{0, 2.0}, {1, 3.0}}},
+                                {"q1", {{0, 7.0}, {1, 4.0}}}});
+  rig.Update(policy);
+  PolicyContext ctx = rig.Context();
+  ctx.filter = [&](const EntityInfo& e) { return e.id != b1.id; };
+  const Schedule s = policy.ComputeSchedule(ctx);
+
+  // Ascending query id, snapshot order within a query, q2 skipped; every
+  // entry points at the provider's snapshot.
+  const std::vector<EntityInfo>& snapshot =
+      rig.provider.EntitiesOf(rig.driver);
+  const std::vector<std::pair<OperatorId, double>> expected = {
+      {a0.id, 2.0}, {a1.id, 3.0}, {b0.id, 7.0}, {b2.id, 4.0}};
+  ASSERT_EQ(s.entries.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(s.entries[i].entity->id, expected[i].first) << i;
+    EXPECT_DOUBLE_EQ(s.entries[i].priority, expected[i].second) << i;
+    EXPECT_GE(s.entries[i].entity, snapshot.data()) << i;
+    EXPECT_LT(s.entries[i].entity, snapshot.data() + snapshot.size()) << i;
+  }
+}
+
 TEST(PolicyFilterTest, FilterRestrictsScheduledEntities) {
   PolicyRig rig;
   const EntityInfo a = rig.driver.AddEntity(QueryId(0), {0});
@@ -155,7 +190,7 @@ TEST(PolicyFilterTest, FilterRestrictsScheduledEntities) {
   ctx.filter = [](const EntityInfo& e) { return e.query == QueryId(1); };
   const Schedule s = policy.ComputeSchedule(ctx);
   ASSERT_EQ(s.entries.size(), 1u);
-  EXPECT_EQ(s.entries[0].entity.id, b.id);
+  EXPECT_EQ(s.entries[0].entity->id, b.id);
 }
 
 
@@ -179,8 +214,8 @@ TEST(CriticalChainPolicyTest, TagsEntriesOfCriticalQueries) {
   ASSERT_EQ(s.entries.size(), 3u);
   for (const ScheduleEntry& entry : s.entries) {
     const bool critical = entry.criticality == Criticality::kLatencyCritical;
-    EXPECT_EQ(critical, entry.entity.query == QueryId(1))
-        << entry.entity.path;
+    EXPECT_EQ(critical, entry.entity->query == QueryId(1))
+        << entry.entity->path;
   }
   EXPECT_DOUBLE_EQ(PriorityOf(s, a.id), 5);
   EXPECT_DOUBLE_EQ(PriorityOf(s, b.id), 1);

@@ -30,9 +30,11 @@ class CountingPolicy final : public SchedulingPolicy {
   Schedule ComputeSchedule(const PolicyContext& ctx) override {
     ++*counter_;
     Schedule s;
-    ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-      s.entries.push_back({e, ctx.provider->Value(driver, required_, e.id)});
-    });
+    ctx.ForEachEntity(
+        [&](SpeDriver& driver, const EntityInfo& e, std::size_t slot) {
+          s.entries.push_back(
+              {&e, ctx.provider->Column(driver, required_)[slot]});
+        });
     return s;
   }
 

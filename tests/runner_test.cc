@@ -3,10 +3,16 @@
 // / multi-driver operation.
 #include "core/runner.h"
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/policies.h"
 #include "core/sim_executor.h"
 #include "sim/simulator.h"
 #include "tests/fake_driver.h"
@@ -29,10 +35,11 @@ class CountingPolicy final : public SchedulingPolicy {
   Schedule ComputeSchedule(const PolicyContext& ctx) override {
     ++*counter_;
     Schedule s;
-    ctx.ForEachEntity([&](SpeDriver& driver, const EntityInfo& e) {
-      s.entries.push_back(
-          {e, ctx.provider->Value(driver, required_, e.id)});
-    });
+    ctx.ForEachEntity(
+        [&](SpeDriver& driver, const EntityInfo& e, std::size_t slot) {
+          s.entries.push_back(
+              {&e, ctx.provider->Column(driver, required_)[slot]});
+        });
     return s;
   }
 
@@ -191,6 +198,87 @@ TEST(RunnerTest, MultipleDriversScheduledTogether) {
   // driver's 500-deep queue wins the best nice.
   EXPECT_EQ(rig.os.nices.at(0), -20);  // second driver's entity has tid 0 too
   EXPECT_EQ(count, 1);
+}
+
+// A ControlExecutor with a hand-driven clock, as on a live host: time
+// passes inside callbacks when something in them is slow.
+class ManualExecutor final : public ControlExecutor {
+ public:
+  [[nodiscard]] SimTime Now() const override { return now_; }
+  void CallAt(SimTime time, std::function<void()> fn) override {
+    queue_.emplace(time, std::move(fn));
+  }
+  // Dispatches the earliest callback at or before `until`; false if none.
+  bool RunNext(SimTime until) {
+    if (queue_.empty() || queue_.begin()->first > until) return false;
+    auto it = queue_.begin();
+    now_ = std::max(now_, it->first);
+    std::function<void()> fn = std::move(it->second);
+    queue_.erase(it);
+    fn();
+    return true;
+  }
+  void Advance(SimDuration by) { now_ += by; }
+
+ private:
+  SimTime now_ = 0;
+  std::multimap<SimTime, std::function<void()>> queue_;
+};
+
+// A backend whose every SetNice takes `delay` of the executor's time.
+class SlowOsAdapter final : public OsAdapter {
+ public:
+  SlowOsAdapter(ManualExecutor& executor, SimDuration delay)
+      : executor_(&executor), delay_(delay) {}
+  void SetNice(const ThreadHandle&, int) override {
+    executor_->Advance(delay_);
+  }
+  void SetGroupShares(const std::string&, std::uint64_t) override {}
+  void MoveToGroup(const ThreadHandle&, const std::string&) override {}
+
+ private:
+  ManualExecutor* executor_;
+  SimDuration delay_;
+};
+
+double SelfMetric(const LachesisRunner& runner, const std::string& name) {
+  for (const obs::MetricValue& m : runner.CollectSelfMetrics()) {
+    if (m.name == name) return m.value;
+  }
+  ADD_FAILURE() << name << " not reported";
+  return -1;
+}
+
+TEST(RunnerTest, TickThatOverrunsItsPeriodIsCounted) {
+  ManualExecutor executor;
+  SlowOsAdapter os(executor, Millis(2500));
+  FakeDriver driver;
+  const EntityInfo e = driver.AddEntity(QueryId(0), {0});
+  driver.Provide(MetricId::kQueueSize);
+  driver.SetValue(MetricId::kQueueSize, e.id, 5);
+
+  LachesisRunner runner(executor, os);
+  PolicyBinding binding;
+  binding.policy = std::make_unique<QueueSizePolicy>();
+  binding.translator = std::make_unique<NiceTranslator>();
+  binding.period = Seconds(1);
+  binding.drivers = {&driver};
+  runner.AddQuery(std::move(binding));
+  std::vector<SimTime> ticks;
+  runner.SetTickObserver(
+      [&](const RunnerTickInfo& info) { ticks.push_back(info.now); });
+  runner.Start(Seconds(10));
+  while (executor.RunNext(Millis(4600))) {
+  }
+  // The first tick's nice write (the only one: later ones are elided)
+  // takes 2.5 s. The 2 s wakeup is dispatched late, at 3.5 s, already
+  // past the 3 s period: that period is dropped, the loop resumes a full
+  // interval later, and the drop is counted once; the on-time ticks after
+  // it count nothing.
+  EXPECT_EQ(ticks, (std::vector<SimTime>{Seconds(1), Millis(3500),
+                                         Millis(4500)}));
+  EXPECT_DOUBLE_EQ(SelfMetric(runner, "lachesis_tick_overruns_total"), 1.0);
+  EXPECT_DOUBLE_EQ(SelfMetric(runner, "lachesis_ticks_total"), 3.0);
 }
 
 }  // namespace

@@ -17,6 +17,15 @@ EntityInfo Entity(std::uint64_t id, QueryId query, std::vector<int> logicals,
   return e;
 }
 
+// Algorithm 2 over a vector the test owns; the output points into it.
+std::vector<ScheduleEntry> Transform(
+    const LogicalSchedule& logical, const std::vector<EntityInfo>& entities,
+    FusionAggregate aggregate = FusionAggregate::kMax) {
+  std::vector<const EntityInfo*> pointers;
+  for (const EntityInfo& e : entities) pointers.push_back(&e);
+  return TransformLogicalSchedule(logical, pointers, aggregate);
+}
+
 TEST(TransformTest, FissionCopiesPriorityToReplicas) {
   LogicalSchedule logical;
   logical.query = QueryId(0);
@@ -24,7 +33,7 @@ TEST(TransformTest, FissionCopiesPriorityToReplicas) {
   const std::vector<EntityInfo> entities = {
       Entity(0, QueryId(0), {0}, 0), Entity(1, QueryId(0), {0}, 1),
       Entity(2, QueryId(0), {0}, 2)};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = Transform(logical, entities);
   ASSERT_EQ(out.size(), 3u);
   for (const auto& entry : out) EXPECT_DOUBLE_EQ(entry.priority, 7.0);
 }
@@ -36,7 +45,7 @@ TEST(TransformTest, FusionTakesMaxByDefault) {
   logical.query = QueryId(0);
   logical.priorities = {{0, 1.0}, {1, 9.0}, {2, 4.0}};
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {0, 1, 2})};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = Transform(logical, entities);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].priority, 9.0);
 }
@@ -47,15 +56,15 @@ TEST(TransformTest, FusionAggregateVariants) {
   logical.priorities = {{0, 2.0}, {1, 6.0}};
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {0, 1})};
   EXPECT_DOUBLE_EQ(
-      TransformLogicalSchedule(logical, entities, FusionAggregate::kMin)[0]
+      Transform(logical, entities, FusionAggregate::kMin)[0]
           .priority,
       2.0);
   EXPECT_DOUBLE_EQ(
-      TransformLogicalSchedule(logical, entities, FusionAggregate::kSum)[0]
+      Transform(logical, entities, FusionAggregate::kSum)[0]
           .priority,
       8.0);
   EXPECT_DOUBLE_EQ(
-      TransformLogicalSchedule(logical, entities, FusionAggregate::kMean)[0]
+      Transform(logical, entities, FusionAggregate::kMean)[0]
           .priority,
       4.0);
 }
@@ -65,7 +74,7 @@ TEST(TransformTest, MissingLogicalPriorityDefaultsToZero) {
   logical.query = QueryId(0);
   logical.priorities = {{0, 5.0}};  // logical 1 not mentioned
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {1})};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = Transform(logical, entities);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].priority, 0.0);
 }
@@ -76,9 +85,9 @@ TEST(TransformTest, OtherQueriesExcluded) {
   logical.priorities = {{0, 5.0}};
   const std::vector<EntityInfo> entities = {Entity(0, QueryId(0), {0}),
                                             Entity(1, QueryId(1), {0})};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = Transform(logical, entities);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].entity.id, OperatorId(0));
+  EXPECT_EQ(out[0].entity, &entities[0]);
 }
 
 TEST(TransformTest, MixedFusionAndFission) {
@@ -89,7 +98,7 @@ TEST(TransformTest, MixedFusionAndFission) {
   const std::vector<EntityInfo> entities = {
       Entity(0, QueryId(0), {0, 1}, 0), Entity(1, QueryId(0), {0, 1}, 1),
       Entity(2, QueryId(0), {2}, 0)};
-  const auto out = TransformLogicalSchedule(logical, entities);
+  const auto out = Transform(logical, entities);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_DOUBLE_EQ(out[0].priority, 8.0);
   EXPECT_DOUBLE_EQ(out[1].priority, 8.0);

@@ -3,6 +3,7 @@
 // multi-dimensional scheme, against a recording OS adapter.
 #include "core/translators.h"
 
+#include <deque>
 #include <limits>
 #include <memory>
 
@@ -15,13 +16,17 @@ namespace {
 
 using testing::RecordingOsAdapter;
 
-EntityInfo Entity(std::uint64_t id, const std::string& query_name = "q0") {
-  EntityInfo e;
+// Schedule entries point at their entities, so test entities live in a
+// deque for the whole binary.
+const EntityInfo* Entity(std::uint64_t id,
+                         const std::string& query_name = "q0") {
+  static std::deque<EntityInfo> store;
+  EntityInfo& e = store.emplace_back();
   e.id = OperatorId(id);
   e.path = "spe." + query_name + ".op" + std::to_string(id);
   e.query_name = query_name;
   e.thread.sim_tid = ThreadId(id);
-  return e;
+  return &e;
 }
 
 Schedule MakeSchedule(std::vector<double> priorities,
