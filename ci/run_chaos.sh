@@ -40,6 +40,11 @@ cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
 # point into the metric provider's entity snapshot, and a schedule read
 # after the snapshot was replaced is exactly the use-after-free ASan
 # catches.
+# The recorder suites (obs_ring_test, obs_trace_golden_test,
+# obs_self_metrics_test) run here too: the delta layer records through
+# the id-taking Recorder::Op with ids cached in its slots, and the ring's
+# wraparound index arithmetic and the interner's arena views are exactly
+# what ASan/UBSan catches reading out of bounds.
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target fault_tolerance_test failure_injection_test \
            schedule_delta_test runner_dynamic_test \
@@ -49,7 +54,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
            fleet_sim_test fleet_chaos_test \
            transition_log_test golden_trace_test fleet_golden_test \
            metric_provider_test policies_test translators_test \
-           transform_test runner_test
+           transform_test runner_test \
+           obs_ring_test obs_trace_golden_test obs_self_metrics_test
 
 status=0
 for t in fault_tolerance_test failure_injection_test \
@@ -59,7 +65,8 @@ for t in fault_tolerance_test failure_injection_test \
          tsdb_test sim_driver_test native_driver_test driver_contract_test \
          fleet_sim_test transition_log_test golden_trace_test \
          fleet_golden_test metric_provider_test policies_test \
-         translators_test transform_test runner_test; do
+         translators_test transform_test runner_test \
+         obs_ring_test obs_trace_golden_test obs_self_metrics_test; do
   "$BUILD_DIR/tests/$t" --gtest_brief=1 || status=$?
 done
 # The soak's epoch count is trimmed under sanitizers: the schedule is a

@@ -98,6 +98,11 @@ class FlatMap {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  // Bytes per table slot (key plus value, padded); lets callers pin the
+  // memory their tables cost with a static_assert.
+  [[nodiscard]] static constexpr std::size_t slot_bytes() {
+    return sizeof(Slot);
+  }
 
   // Pointer to the mapped value, nullptr when absent. Never allocates.
   [[nodiscard]] V* Find(const K& key) {
@@ -191,6 +196,13 @@ class FlatMap {
   void ForEach(Fn&& fn) const {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (full_[i]) fn(slots_[i].key, slots_[i].value);
+    }
+  }
+  // Same, with mutable values (keys stay const: they place the slot).
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (full_[i]) fn(std::as_const(slots_[i].key), slots_[i].value);
     }
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace lachesis::core {
@@ -13,7 +14,7 @@ constexpr double kLog125 = 0.22314355131420976;  // log(1.25)
 // Replaces non-finite policy outputs (a misbehaving metric source) with the
 // nearest finite extreme so they cannot poison the normalization: NaN and
 // -inf collapse to the finite minimum, +inf to the finite maximum.
-std::vector<double> SanitizeFinite(const std::vector<double>& values) {
+void SanitizeFinite(std::span<double> values) {
   double finite_min = std::numeric_limits<double>::infinity();
   double finite_max = -std::numeric_limits<double>::infinity();
   for (const double v : values) {
@@ -23,23 +24,18 @@ std::vector<double> SanitizeFinite(const std::vector<double>& values) {
     }
   }
   if (!std::isfinite(finite_min)) {  // nothing finite at all
-    return std::vector<double>(values.size(), 0.0);
+    std::fill(values.begin(), values.end(), 0.0);
+    return;
   }
-  std::vector<double> result(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (std::isfinite(values[i])) {
-      result[i] = values[i];
-    } else if (values[i] > 0) {  // +inf
-      result[i] = finite_max;
-    } else {  // -inf or NaN
-      result[i] = finite_min;
-    }
+  for (double& v : values) {
+    if (std::isfinite(v)) continue;
+    v = v > 0 ? finite_max    // +inf
+              : finite_min;   // -inf or NaN
   }
-  return result;
 }
 
 // Smallest positive value in `values`, or fallback when none exists.
-double SmallestPositive(const std::vector<double>& values, double fallback) {
+double SmallestPositive(std::span<const double> values, double fallback) {
   double smallest = std::numeric_limits<double>::infinity();
   for (const double v : values) {
     if (v > 0) smallest = std::min(smallest, v);
@@ -48,61 +44,67 @@ double SmallestPositive(const std::vector<double>& values, double fallback) {
 }
 }  // namespace
 
-std::vector<double> MinMaxNormalize(const std::vector<double>& raw_values,
-                                    double lo, double hi) {
-  std::vector<double> result(raw_values.size());
-  if (raw_values.empty()) return result;
-  const std::vector<double> values = SanitizeFinite(raw_values);
+void MinMaxNormalizeInPlace(std::span<double> values, double lo, double hi) {
+  if (values.empty()) return;
+  SanitizeFinite(values);
   const auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
   const double min = *min_it;
   const double max = *max_it;
   if (max - min <= 0) {
-    std::fill(result.begin(), result.end(), (lo + hi) / 2);
-    return result;
+    std::fill(values.begin(), values.end(), (lo + hi) / 2);
+    return;
   }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    result[i] = lo + (hi - lo) * (values[i] - min) / (max - min);
-  }
+  for (double& v : values) v = lo + (hi - lo) * (v - min) / (max - min);
+}
+
+std::vector<double> MinMaxNormalize(const std::vector<double>& raw_values,
+                                    double lo, double hi) {
+  std::vector<double> result = raw_values;
+  MinMaxNormalizeInPlace(result, lo, hi);
   return result;
 }
 
 std::vector<double> LogMinMaxNormalize(const std::vector<double>& raw_values,
                                        double lo, double hi) {
-  const std::vector<double> values = SanitizeFinite(raw_values);
-  std::vector<double> logs(values.size());
-  const double floor_value = SmallestPositive(values, 1.0);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    logs[i] = std::log(std::max(values[i], floor_value));
-  }
-  return MinMaxNormalize(logs, lo, hi);
+  std::vector<double> logs = raw_values;
+  SanitizeFinite(logs);
+  const double floor_value = SmallestPositive(logs, 1.0);
+  for (double& v : logs) v = std::log(std::max(v, floor_value));
+  MinMaxNormalizeInPlace(logs, lo, hi);
+  return logs;
 }
 
-std::vector<int> PrioritiesToNice(const std::vector<double>& raw_priorities,
-                                  int nice_max) {
-  std::vector<int> result(raw_priorities.size());
-  if (raw_priorities.empty()) return result;
-  const std::vector<double> priorities = SanitizeFinite(raw_priorities);
+void PrioritiesToNiceInPlace(std::span<double> priorities, int nice_max,
+                             std::span<int> out) {
+  if (priorities.empty()) return;
+  SanitizeFinite(priorities);
   const double floor_value = SmallestPositive(priorities, 1.0);
   double p_max = floor_value;
   for (const double p : priorities) p_max = std::max(p_max, p);
 
   // F(x) = n_max + (log(p_max) - log(x)) / log(1.25)
-  std::vector<double> nices(priorities.size());
+  const double log_p_max = std::log(p_max);
   double worst = static_cast<double>(nice_max);
-  for (std::size_t i = 0; i < priorities.size(); ++i) {
-    const double x = std::max(priorities[i], floor_value);
-    nices[i] = static_cast<double>(nice_max) +
-               (std::log(p_max) - std::log(x)) / kLog125;
-    worst = std::max(worst, nices[i]);
+  for (double& p : priorities) {
+    const double x = std::max(p, floor_value);
+    p = static_cast<double>(nice_max) + (log_p_max - std::log(x)) / kLog125;
+    worst = std::max(worst, p);
   }
   // If the ratio p_max/p_min does not fit in the nice range, compress with a
   // min-max pass (paper §5.3).
   if (worst > 19.0) {
-    nices = MinMaxNormalize(nices, static_cast<double>(nice_max), 19.0);
+    MinMaxNormalizeInPlace(priorities, static_cast<double>(nice_max), 19.0);
   }
-  for (std::size_t i = 0; i < nices.size(); ++i) {
-    result[i] = std::clamp(static_cast<int>(std::lround(nices[i])), -20, 19);
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    out[i] = std::clamp(static_cast<int>(std::lround(priorities[i])), -20, 19);
   }
+}
+
+std::vector<int> PrioritiesToNice(const std::vector<double>& raw_priorities,
+                                  int nice_max) {
+  std::vector<int> result(raw_priorities.size());
+  std::vector<double> scratch = raw_priorities;
+  PrioritiesToNiceInPlace(scratch, nice_max, result);
   return result;
 }
 

@@ -7,6 +7,7 @@
 #define LACHESIS_CORE_NORMALIZE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace lachesis::core {
@@ -29,6 +30,14 @@ std::vector<double> LogMinMaxNormalize(const std::vector<double>& values,
 // pass compresses it into [n_max, 19].
 std::vector<int> PrioritiesToNice(const std::vector<double>& priorities,
                                   int nice_max = -20);
+
+// In-place forms for callers that keep scratch buffers across ticks (the
+// translators): same results, bit for bit, without allocating.
+void MinMaxNormalizeInPlace(std::span<double> values, double lo, double hi);
+// PrioritiesToNice into `out` (same size as `priorities`); `priorities` is
+// overwritten with the unrounded nice values.
+void PrioritiesToNiceInPlace(std::span<double> priorities, int nice_max,
+                             std::span<int> out);
 
 // Maps normalized priorities to cpu.shares: priority 0 -> min_shares,
 // priority 1 -> max_shares, geometric interpolation (shares are weights, so

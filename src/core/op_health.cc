@@ -101,7 +101,7 @@ std::uint32_t OpHealthTracker::IdOf(const std::string& target) const {
 
 bool OpHealthTracker::AllowAttempt(OpClass cls, const std::string& target,
                                    SimTime now) {
-  if (!config_.enabled) return true;
+  if (Quiet(cls)) return true;
   ClassHealth& ch = classes_[static_cast<int>(cls)];
   if (ch.state == BreakerState::kOpen) {
     if (now < ch.probe_at) return false;
@@ -127,12 +127,13 @@ bool OpHealthTracker::AllowAttempt(OpClass cls, const std::string& target,
 void OpHealthTracker::RecordSuccess(OpClass cls, const std::string& target,
                                     SimTime now) {
   if (!config_.enabled) return;
-  auto& per_target = targets_[static_cast<int>(cls)];
-  const std::uint32_t id = IdOf(target);
-  if (id != kAbsentTarget) per_target.Erase(id);
   ClassHealth& ch = classes_[static_cast<int>(cls)];
   ch.consecutive_failures = 0;
   ch.probe_failures = 0;
+  if (Quiet(cls)) return;  // nothing tracked to erase, not half-open
+  auto& per_target = targets_[static_cast<int>(cls)];
+  const std::uint32_t id = IdOf(target);
+  if (id != kAbsentTarget) per_target.Erase(id);
   if (ch.state == BreakerState::kHalfOpen) {
     // The probe succeeded: the class-wide failure was environmental and has
     // ended. Close the breaker and clear every backoff of the class so the

@@ -117,6 +117,18 @@ class OpHealthTracker {
   [[nodiscard]] bool AllowAttempt(OpClass cls, const std::string& target,
                                   SimTime now);
   void RecordSuccess(OpClass cls, const std::string& target, SimTime now);
+
+  // True when health is off, or the class breaker is closed and no target
+  // of the class has a failure on record. In that state AllowAttempt is
+  // true for every target without side effects and RecordSuccess only
+  // clears the class's failure streak, so neither reads `target`: a caller
+  // may skip building the key and pass an empty one. A quiet class stays
+  // quiet until a RecordFailure of that class (or a set_config).
+  [[nodiscard]] bool Quiet(OpClass cls) const {
+    return !config_.enabled ||
+           (classes_[static_cast<int>(cls)].state == BreakerState::kClosed &&
+            targets_[static_cast<int>(cls)].empty());
+  }
   void RecordFailure(OpClass cls, const std::string& target, SimTime now,
                      ErrorSeverity severity);
 

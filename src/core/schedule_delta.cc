@@ -1,11 +1,32 @@
 #include "core/schedule_delta.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <string_view>
 
 #include "obs/recorder.h"
 
 namespace lachesis::core {
+
+namespace {
+// Detail of the ops whose events carry none.
+constexpr auto kNoDetail = [] { return std::string_view(); };
+}  // namespace
+
+void ScheduleDeltaAdapter::SetRecorder(obs::Recorder* recorder) {
+  recorder_ = recorder;
+  health_.SetRecorder(recorder);
+  const auto forget = [](const ThreadKey&, auto& cached) {
+    cached.rec = obs::kNoStr;
+  };
+  nice_.ForEach(forget);
+  rt_.ForEach(forget);
+  deadline_.ForEach(forget);
+  affinity_.ForEach(forget);
+  group_of_.ForEach(forget);
+  std::fill(group_rec_.begin(), group_rec_.end(), obs::kNoStr);
+}
 
 void ScheduleDeltaAdapter::Reset() {
   nice_.Clear();
@@ -42,20 +63,20 @@ std::size_t ScheduleDeltaAdapter::SeedFromSnapshot(
   for (const OsStateSnapshot::ThreadState& ts : snapshot.threads) {
     const ThreadKey key = KeyOf(ts.thread);
     if (ts.nice) {
-      nice_.Insert(key, *ts.nice);
+      nice_.Insert(key, {*ts.nice});
       ++seeded;
     }
     if (ts.rt_priority && *ts.rt_priority > 0) {
-      rt_.Insert(key, *ts.rt_priority);
+      rt_.Insert(key, {*ts.rt_priority});
       ++seeded;
     }
     if (ts.group) {
-      group_of_.Insert(key, group_ids_.Intern(*ts.group));
+      group_of_.Insert(key, {group_ids_.Intern(*ts.group)});
       ++seeded;
     }
     if (ts.deadline && !ts.deadline->is_zero()) {
-      deadline_.Insert(key, {ts.deadline->runtime, ts.deadline->deadline,
-                             ts.deadline->period});
+      deadline_.Insert(key, {{ts.deadline->runtime, ts.deadline->deadline,
+                              ts.deadline->period}});
       ++seeded;
     }
   }
@@ -83,270 +104,228 @@ std::size_t ScheduleDeltaAdapter::ReconcileFromBackend(
 
 std::size_t ScheduleDeltaAdapter::rt_boosted_count() const {
   std::size_t count = 0;
-  rt_.ForEach([&](const ThreadKey&, const int& priority) {
-    if (priority > 0) ++count;
+  rt_.ForEach([&](const ThreadKey&, const Cached<int>& priority) {
+    if (priority.value > 0) ++count;
   });
   return count;
 }
 
 std::size_t ScheduleDeltaAdapter::dl_reserved_count() const {
   std::size_t count = 0;
-  deadline_.ForEach([&](const ThreadKey&, const std::array<SimDuration, 3>& d) {
-    if (d[0] != 0 || d[1] != 0 || d[2] != 0) ++count;
-  });
+  deadline_.ForEach(
+      [&](const ThreadKey&, const Cached<std::array<SimDuration, 3>>& d) {
+        if (d.value[0] != 0 || d.value[1] != 0 || d.value[2] != 0) ++count;
+      });
   return count;
 }
 
-void ScheduleDeltaAdapter::RecordElided(OpClass cls,
-                                        const std::string& health_key,
-                                        std::int64_t value) {
-  recorder_->Op(now_, obs::EventKind::kOpElided, static_cast<int>(cls),
-                health_key, value);
-}
-
-void ScheduleDeltaAdapter::LogFailureOnce(OpClass cls,
-                                          const std::string& target,
+void ScheduleDeltaAdapter::LogFailureOnce(OpClass cls, OpTarget target,
                                           const char* what) {
   // One line per (operation, target): a permanently broken target (e.g. an
   // unwritable cgroup root) must not flood the log every period.
-  const std::uint32_t id = log_names_.Intern(target);
+  const std::string name = target.log_name();
+  const std::uint32_t id = log_names_.Intern(name);
   if (logged_failures_[static_cast<int>(cls)].Insert(id)) {
     std::fprintf(stderr, "lachesis: %s(%s) failed: %s\n", OpClassName(cls),
-                 target.c_str(), what);
+                 name.c_str(), what);
   }
 }
 
-template <typename Fn>
-bool ScheduleDeltaAdapter::Forward(OpClass cls, const std::string& health_key,
-                                   const std::string& target,
-                                   std::int64_t value,
-                                   const std::string& detail, Fn&& fn) {
-  if (!health_.AllowAttempt(cls, health_key, now_)) {
-    ++tick_.suppressed;
-    ++totals_.suppressed;
-    if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpSuppressed,
-                    static_cast<int>(cls), health_key, value, detail);
+template <typename DetailFn>
+void ScheduleDeltaAdapter::RecordOp(obs::EventKind kind, OpClass cls,
+                                    obs::StrId& rec_id, OpTarget target,
+                                    std::int64_t value, DetailFn&& detail) {
+  if (recorder_ == nullptr || !recorder_->enabled()) return;
+  if (kind == obs::EventKind::kOpElided && !recorder_->verbose()) return;
+  // Target before detail: the intern order (and so every StrId) is the one
+  // the string-taking Recorder::Op produces.
+  if (rec_id == obs::kNoStr) rec_id = recorder_->Intern(target.health_key());
+  recorder_->Op(now_, kind, static_cast<int>(cls), rec_id, value,
+                recorder_->Intern(detail()));
+}
+
+void ScheduleDeltaAdapter::Elide(OpClass cls, obs::StrId& rec_id,
+                                 OpTarget target, std::int64_t value) {
+  ++tick_.skipped;
+  ++totals_.skipped;
+  RecordOp(obs::EventKind::kOpElided, cls, rec_id, target, value, kNoDetail);
+}
+
+void ScheduleDeltaAdapter::Failed(OpClass cls, obs::StrId& rec_id,
+                                  OpTarget target, std::string& health_key,
+                                  std::int64_t value, ErrorSeverity severity,
+                                  const char* what) {
+  if (health_key.empty()) health_key = target.health_key();
+  health_.RecordFailure(cls, health_key, now_, severity);
+  ++tick_.errors;
+  ++totals_.errors;
+  RecordOp(obs::EventKind::kOpError, cls, rec_id, target, value,
+           [what] { return std::string_view(what); });
+  LogFailureOnce(cls, target, what);
+}
+
+template <typename DetailFn, typename Fn>
+bool ScheduleDeltaAdapter::Forward(OpClass cls, obs::StrId& rec_id,
+                                   OpTarget target, std::int64_t value,
+                                   DetailFn&& detail, Fn&& fn) {
+  // A quiet class allows every attempt and reads no key on success, so the
+  // health key is built only when the class is not quiet (or on failure).
+  std::string health_key;
+  if (!health_.Quiet(cls)) {
+    health_key = target.health_key();
+    if (!health_.AllowAttempt(cls, health_key, now_)) {
+      ++tick_.suppressed;
+      ++totals_.suppressed;
+      RecordOp(obs::EventKind::kOpSuppressed, cls, rec_id, target, value,
+               detail);
+      return false;
     }
-    return false;
   }
   try {
     fn();
   } catch (const OsOperationError& e) {
-    health_.RecordFailure(cls, health_key, now_, e.severity());
-    ++tick_.errors;
-    ++totals_.errors;
-    if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpError, static_cast<int>(cls),
-                    health_key, value, e.what());
-    }
-    LogFailureOnce(cls, target, e.what());
+    Failed(cls, rec_id, target, health_key, value, e.severity(), e.what());
     return false;
   } catch (const std::exception& e) {
-    health_.RecordFailure(cls, health_key, now_, ErrorSeverity::kTransient);
-    ++tick_.errors;
-    ++totals_.errors;
-    if (recorder_ != nullptr) {
-      recorder_->Op(now_, obs::EventKind::kOpError, static_cast<int>(cls),
-                    health_key, value, e.what());
-    }
-    LogFailureOnce(cls, target, e.what());
+    Failed(cls, rec_id, target, health_key, value, ErrorSeverity::kTransient,
+           e.what());
     return false;
   }
   health_.RecordSuccess(cls, health_key, now_);
   ++tick_.applied;
   ++totals_.applied;
-  if (recorder_ != nullptr) {
-    recorder_->Op(now_, obs::EventKind::kOpApplied, static_cast<int>(cls),
-                  health_key, value, detail);
-  }
+  RecordOp(obs::EventKind::kOpApplied, cls, rec_id, target, value, detail);
   return true;
 }
 
-void ScheduleDeltaAdapter::SetNice(const ThreadHandle& thread, int nice) {
+template <typename V, typename DetailFn, typename Fn>
+void ScheduleDeltaAdapter::ApplyThreadOp(FlatMap<ThreadKey, Cached<V>>& cache,
+                                         OpClass cls,
+                                         const ThreadHandle& thread,
+                                         const V& value, bool is_default,
+                                         std::int64_t event_value,
+                                         DetailFn&& detail, Fn&& fn) {
   const ThreadKey key = KeyOf(thread);
-  if (enabled_) {
-    const int* cached = nice_.Find(key);
-    if (cached != nullptr && *cached == nice) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetNice, HealthKeyOf(thread), nice);
-      }
-      return;
-    }
+  Cached<V>* slot = cache.Find(key);
+  obs::StrId unseen = obs::kNoStr;
+  obs::StrId& rec_id = slot != nullptr ? slot->rec : unseen;
+  if (enabled_ && (slot != nullptr ? slot->value == value : is_default)) {
+    Elide(cls, rec_id, {&thread}, event_value);
+    return;
   }
-  if (Forward(OpClass::kSetNice, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), nice, {},
-              [&] { next_->SetNice(thread, nice); })) {
-    nice_.Insert(key, nice);
+  if (!Forward(cls, rec_id, {&thread}, event_value, detail, fn)) return;
+  // Nothing inserts into `cache` while forwarding, so `slot` is still live.
+  if (slot != nullptr) {
+    slot->value = value;
+  } else {
+    cache.Insert(key, {value, rec_id});
   }
+}
+
+template <typename V, typename DetailFn, typename Fn>
+void ScheduleDeltaAdapter::ApplyGroupOp(FlatMap<std::uint32_t, V>& cache,
+                                        OpClass cls, const std::string& group,
+                                        const V& value,
+                                        std::int64_t event_value,
+                                        DetailFn&& detail, Fn&& fn) {
+  const std::uint32_t gid = GroupIdOf(group);
+  V* cached = gid != kUnknownGroup ? cache.Find(gid) : nullptr;
+  obs::StrId unseen = obs::kNoStr;
+  obs::StrId& rec_id = gid != kUnknownGroup ? GroupRecId(gid) : unseen;
+  if (enabled_ && cached != nullptr && *cached == value) {
+    Elide(cls, rec_id, {nullptr, &group}, event_value);
+    return;
+  }
+  if (!Forward(cls, rec_id, {nullptr, &group}, event_value, detail, fn)) {
+    return;
+  }
+  if (cached != nullptr) {
+    *cached = value;
+    return;
+  }
+  const std::uint32_t id = group_ids_.Intern(group);
+  cache.Insert(id, value);
+  if (gid == kUnknownGroup) GroupRecId(id) = unseen;
+}
+
+void ScheduleDeltaAdapter::SetNice(const ThreadHandle& thread, int nice) {
+  ApplyThreadOp(nice_, OpClass::kSetNice, thread, nice, false, nice,
+                kNoDetail, [&] { next_->SetNice(thread, nice); });
 }
 
 void ScheduleDeltaAdapter::SetGroupShares(const std::string& group,
                                           std::uint64_t shares) {
-  const std::uint32_t gid = GroupIdOf(group);
-  if (enabled_) {
-    const std::uint64_t* cached =
-        gid != kUnknownGroup ? shares_.Find(gid) : nullptr;
-    if (cached != nullptr && *cached == shares) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetGroupShares, HealthKeyOf(group),
-                     static_cast<std::int64_t>(shares));
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetGroupShares, HealthKeyOf(group), group,
-              static_cast<std::int64_t>(shares), {},
-              [&] { next_->SetGroupShares(group, shares); })) {
-    shares_.Insert(group_ids_.Intern(group), shares);
-  }
+  ApplyGroupOp(shares_, OpClass::kSetGroupShares, group, shares,
+               static_cast<std::int64_t>(shares), kNoDetail,
+               [&] { next_->SetGroupShares(group, shares); });
 }
 
 void ScheduleDeltaAdapter::MoveToGroup(const ThreadHandle& thread,
                                        const std::string& group) {
   const ThreadKey key = KeyOf(thread);
-  if (enabled_) {
-    const std::uint32_t* cached = group_of_.Find(key);
+  Cached<std::uint32_t>* slot = group_of_.Find(key);
+  obs::StrId unseen = obs::kNoStr;
+  obs::StrId& rec_id = slot != nullptr ? slot->rec : unseen;
+  if (enabled_ && slot != nullptr) {
     const std::uint32_t gid = GroupIdOf(group);
-    if (cached != nullptr && gid != kUnknownGroup && *cached == gid) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kMoveToGroup, HealthKeyOf(thread), 0);
-      }
+    if (gid != kUnknownGroup && slot->value == gid) {
+      Elide(OpClass::kMoveToGroup, rec_id, {&thread}, 0);
       return;
     }
   }
-  if (Forward(OpClass::kMoveToGroup, HealthKeyOf(thread), group, 0, group,
-              [&] { next_->MoveToGroup(thread, group); })) {
-    group_of_.Insert(key, group_ids_.Intern(group));
+  if (!Forward(OpClass::kMoveToGroup, rec_id, {&thread, &group}, 0,
+               [&] { return std::string_view(group); },
+               [&] { next_->MoveToGroup(thread, group); })) {
+    return;
+  }
+  const std::uint32_t gid = group_ids_.Intern(group);
+  if (slot != nullptr) {
+    slot->value = gid;
+  } else {
+    group_of_.Insert(key, {gid, rec_id});
   }
 }
 
+// A demotion for a thread the delta layer never boosted is a no-op by
+// construction (fair class is the default state).
 void ScheduleDeltaAdapter::SetRtPriority(const ThreadHandle& thread,
                                          int rt_priority) {
-  const ThreadKey key = KeyOf(thread);
-  if (enabled_) {
-    const int* cached = rt_.Find(key);
-    if (cached != nullptr && *cached == rt_priority) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetRtPriority, HealthKeyOf(thread),
-                     rt_priority);
-      }
-      return;
-    }
-    // A demotion for a thread the delta layer never boosted is a no-op by
-    // construction (fair class is the default state).
-    if (cached == nullptr && rt_priority == 0) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetRtPriority, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetRtPriority, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), rt_priority, {},
-              [&] { next_->SetRtPriority(thread, rt_priority); })) {
-    rt_.Insert(key, rt_priority);
-  }
+  ApplyThreadOp(rt_, OpClass::kSetRtPriority, thread, rt_priority,
+                rt_priority == 0, rt_priority, kNoDetail,
+                [&] { next_->SetRtPriority(thread, rt_priority); });
 }
 
 void ScheduleDeltaAdapter::SetGroupQuota(const std::string& group,
                                          SimDuration quota, SimDuration period) {
-  const std::uint32_t gid = GroupIdOf(group);
-  if (enabled_) {
-    const std::pair<SimDuration, SimDuration>* cached =
-        gid != kUnknownGroup ? quota_.Find(gid) : nullptr;
-    if (cached != nullptr && *cached == std::make_pair(quota, period)) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetGroupQuota, HealthKeyOf(group), quota);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetGroupQuota, HealthKeyOf(group), group, quota,
-              "period_ns=" + std::to_string(period),
-              [&] { next_->SetGroupQuota(group, quota, period); })) {
-    quota_.Insert(group_ids_.Intern(group), {quota, period});
-  }
+  ApplyGroupOp(quota_, OpClass::kSetGroupQuota, group,
+               std::make_pair(quota, period), quota,
+               [&] { return "period_ns=" + std::to_string(period); },
+               [&] { next_->SetGroupQuota(group, quota, period); });
 }
 
+// Clearing a reservation the delta layer never applied is a no-op by
+// construction (no reservation is the default state).
 void ScheduleDeltaAdapter::SetDeadline(const ThreadHandle& thread,
                                        SimDuration runtime,
                                        SimDuration deadline,
                                        SimDuration period) {
-  const ThreadKey key = KeyOf(thread);
   const std::array<SimDuration, 3> triple{runtime, deadline, period};
-  const bool is_clear = runtime == 0 && deadline == 0 && period == 0;
-  if (enabled_) {
-    const std::array<SimDuration, 3>* cached = deadline_.Find(key);
-    if (cached != nullptr && *cached == triple) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetDeadline, HealthKeyOf(thread), runtime);
-      }
-      return;
-    }
-    // Clearing a reservation the delta layer never applied is a no-op by
-    // construction (no reservation is the default state).
-    if (cached == nullptr && is_clear) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetDeadline, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetDeadline, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), runtime,
-              "deadline_ns=" + std::to_string(deadline) +
-                  " period_ns=" + std::to_string(period),
-              [&] { next_->SetDeadline(thread, runtime, deadline, period); })) {
-    deadline_.Insert(key, triple);
-  }
+  ApplyThreadOp(deadline_, OpClass::kSetDeadline, thread, triple,
+                runtime == 0 && deadline == 0 && period == 0, runtime,
+                [&] {
+                  return "deadline_ns=" + std::to_string(deadline) +
+                         " period_ns=" + std::to_string(period);
+                },
+                [&] { next_->SetDeadline(thread, runtime, deadline, period); });
 }
 
+// Clearing a hint that was never set is a no-op by construction.
 void ScheduleDeltaAdapter::SetCpuAffinity(const ThreadHandle& thread,
                                           CpuPreference pref) {
-  const ThreadKey key = KeyOf(thread);
   const auto value = static_cast<std::uint8_t>(pref);
-  if (enabled_) {
-    const std::uint8_t* cached = affinity_.Find(key);
-    if (cached != nullptr && *cached == value) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetAffinity, HealthKeyOf(thread), value);
-      }
-      return;
-    }
-    // Clearing a hint that was never set is a no-op by construction.
-    if (cached == nullptr && pref == CpuPreference::kNone) {
-      ++tick_.skipped;
-      ++totals_.skipped;
-      if (recorder_ != nullptr && recorder_->verbose()) {
-        RecordElided(OpClass::kSetAffinity, HealthKeyOf(thread), 0);
-      }
-      return;
-    }
-  }
-  if (Forward(OpClass::kSetAffinity, HealthKeyOf(thread),
-              std::to_string(thread.os_tid), value, {},
-              [&] { next_->SetCpuAffinity(thread, pref); })) {
-    affinity_.Insert(key, value);
-  }
+  ApplyThreadOp(affinity_, OpClass::kSetAffinity, thread, value,
+                pref == CpuPreference::kNone, value, kNoDetail,
+                [&] { next_->SetCpuAffinity(thread, pref); });
 }
 
 }  // namespace lachesis::core

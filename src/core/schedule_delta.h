@@ -29,10 +29,12 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/hash_index.h"
 #include "core/op_health.h"
 #include "core/os_adapter.h"
+#include "obs/event_ring.h"
 
 namespace lachesis::core {
 
@@ -118,11 +120,9 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // Decision-provenance sink for op outcomes (applied/elided/suppressed/
   // error); threaded into the health tracker as well so breaker and backoff
   // transitions land in the same event stream. Null disables (default for a
-  // raw adapter; the runner installs its own recorder).
-  void SetRecorder(obs::Recorder* recorder) {
-    recorder_ = recorder;
-    health_.SetRecorder(recorder);
-  }
+  // raw adapter; the runner installs its own recorder). Forgets every
+  // cached recorder id: ids belong to one recorder's intern table.
+  void SetRecorder(obs::Recorder* recorder);
   [[nodiscard]] OpHealthTracker& health() { return health_; }
   [[nodiscard]] const OpHealthTracker& health() const { return health_; }
 
@@ -187,28 +187,86 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   static ThreadKey KeyOf(const ThreadHandle& thread) {
     return ThreadKeyOf(thread);
   }
-  // Runs `fn` (the backend call) under the health tracker; returns true
-  // when it succeeded. Failures are counted and logged once per
-  // (operation, target); suppressed attempts are counted but not logged.
-  // `value`/`detail` only feed the provenance recorder.
-  template <typename Fn>
-  bool Forward(OpClass cls, const std::string& health_key,
-               const std::string& target, std::int64_t value,
-               const std::string& detail, Fn&& fn);
 
-  // Records a delta-layer elision (verbose recorders only).
-  void RecordElided(OpClass cls, const std::string& health_key,
-                    std::int64_t value);
+  // A cached last-applied value plus the recorder id of its target's
+  // health key: kNoStr until the target's first op is recorded (seeding,
+  // Reset and SetRecorder leave or make it kNoStr). The id rides in the
+  // padding ThreadKey leaves after a small value, so a changed op reads
+  // and writes one slot and records without touching a string.
+  template <typename V>
+  struct Cached {
+    V value{};
+    obs::StrId rec = obs::kNoStr;
+  };
+
+  // What one op is keyed and logged by: `thread` for thread ops (health
+  // key "t:..."), `group` alone for group ops ("g:..."). Failures are
+  // logged under `group` when set (MoveToGroup sets both), else under the
+  // os tid. The strings are built only on the paths that need them.
+  struct OpTarget {
+    const ThreadHandle* thread = nullptr;
+    const std::string* group = nullptr;
+
+    [[nodiscard]] std::string health_key() const {
+      return thread != nullptr ? HealthKeyOf(*thread) : HealthKeyOf(*group);
+    }
+    [[nodiscard]] std::string log_name() const {
+      return group != nullptr ? *group : std::to_string(thread->os_tid);
+    }
+  };
+
+  // The one-probe skip-or-forward step of the value-keyed thread ops:
+  // `cache` is probed once; an op matching the slot -- or, with no slot,
+  // an op that only restates the default state (`is_default`) -- is
+  // elided; anything else is forwarded and, on success, written into the
+  // slot found (inserted only when it was absent).
+  template <typename V, typename DetailFn, typename Fn>
+  void ApplyThreadOp(FlatMap<ThreadKey, Cached<V>>& cache, OpClass cls,
+                     const ThreadHandle& thread, const V& value,
+                     bool is_default, std::int64_t event_value,
+                     DetailFn&& detail, Fn&& fn);
+  // Same for group ops (cached by interned group id).
+  template <typename V, typename DetailFn, typename Fn>
+  void ApplyGroupOp(FlatMap<std::uint32_t, V>& cache, OpClass cls,
+                    const std::string& group, const V& value,
+                    std::int64_t event_value, DetailFn&& detail, Fn&& fn);
+
+  // Runs `fn` (the backend call) under the health tracker; returns true
+  // when it succeeded. A quiet class (OpHealthTracker::Quiet) skips the
+  // tracker's per-target lookups, so a healthy op builds no string at all.
+  // Failures are counted and logged once per (operation, target);
+  // suppressed attempts are counted but not logged. `rec_id` is the
+  // target's cached recorder id (filled on first use); `value` and
+  // `detail()` only feed the provenance recorder.
+  template <typename DetailFn, typename Fn>
+  bool Forward(OpClass cls, obs::StrId& rec_id, OpTarget target,
+               std::int64_t value, DetailFn&& detail, Fn&& fn);
+  // The failure half of Forward: health, counters, event, log line.
+  void Failed(OpClass cls, obs::StrId& rec_id, OpTarget target,
+              std::string& health_key, std::int64_t value,
+              ErrorSeverity severity, const char* what);
+  // Counts an elided op; verbose recorders also get a kOpElided event.
+  void Elide(OpClass cls, obs::StrId& rec_id, OpTarget target,
+             std::int64_t value);
+  // Records one op event (no-op unless the recorder takes `kind`),
+  // interning the target's health key only when `rec_id` is still unset.
+  template <typename DetailFn>
+  void RecordOp(obs::EventKind kind, OpClass cls, obs::StrId& rec_id,
+                OpTarget target, std::int64_t value, DetailFn&& detail);
   // Once-per-(operation, target) stderr logging; O(1), allocation-free once
   // the pair has been seen.
-  void LogFailureOnce(OpClass cls, const std::string& target,
-                      const char* what);
+  void LogFailureOnce(OpClass cls, OpTarget target, const char* what);
   // Interned id of `group`, or kUnknownGroup when no group state was ever
   // cached under that name (disambiguates the interner's 0-for-miss from
   // 0-for-"").
   [[nodiscard]] std::uint32_t GroupIdOf(const std::string& group) const {
     const std::uint32_t id = group_ids_.Lookup(group);
     return id == 0 && !group.empty() ? kUnknownGroup : id;
+  }
+  // Cached recorder id of the group with interned id `gid`.
+  obs::StrId& GroupRecId(std::uint32_t gid) {
+    if (gid >= group_rec_.size()) group_rec_.resize(gid + 1, obs::kNoStr);
+    return group_rec_[gid];
   }
 
   static constexpr std::uint32_t kUnknownGroup = 0xffffffffu;
@@ -227,16 +285,27 @@ class ScheduleDeltaAdapter final : public OsAdapter {
   // the table is warm. Group names are interned once; cached group state
   // compares dense uint32 ids instead of strings.
   StringInterner group_ids_;
-  FlatMap<ThreadKey, int> nice_;
-  FlatMap<ThreadKey, int> rt_;
+  FlatMap<ThreadKey, Cached<int>> nice_;
+  FlatMap<ThreadKey, Cached<int>> rt_;
   // Last applied (runtime, deadline, period); the all-zero triple means
   // "reservation cleared" and, like rt demotion, clearing a never-reserved
   // thread is elided by construction.
-  FlatMap<ThreadKey, std::array<SimDuration, 3>> deadline_;
-  FlatMap<ThreadKey, std::uint8_t> affinity_;   // value: CpuPreference
-  FlatMap<ThreadKey, std::uint32_t> group_of_;  // value: interned group id
+  FlatMap<ThreadKey, Cached<std::array<SimDuration, 3>>> deadline_;
+  FlatMap<ThreadKey, Cached<std::uint8_t>> affinity_;  // CpuPreference
+  FlatMap<ThreadKey, Cached<std::uint32_t>> group_of_;  // interned group id
   FlatMap<std::uint32_t, std::uint64_t> shares_;
   FlatMap<std::uint32_t, std::pair<SimDuration, SimDuration>> quota_;
+  // Recorder ids of the groups' health keys, indexed by interned group id.
+  std::vector<obs::StrId> group_rec_;
+  // The recorder id fills padding: a 24-byte ThreadKey plus a 4-byte value
+  // already took a 32-byte slot. The deadline triple has no padding to
+  // fill and grows by 8 bytes; reservations are rare.
+  static_assert(FlatMap<ThreadKey, Cached<int>>::slot_bytes() == 32);
+  static_assert(FlatMap<ThreadKey, Cached<std::uint32_t>>::slot_bytes() == 32);
+  static_assert(FlatMap<ThreadKey, Cached<std::uint8_t>>::slot_bytes() == 32);
+  static_assert(
+      FlatMap<ThreadKey, Cached<std::array<SimDuration, 3>>>::slot_bytes() ==
+      56);
   // Failure-log dedup: targets interned once, membership per class is a
   // FlatSet probe (exact, and allocation-free after the first occurrence).
   StringInterner log_names_;

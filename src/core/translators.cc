@@ -10,27 +10,24 @@ namespace lachesis::core {
 
 void NiceTranslator::Apply(const Schedule& schedule, OsAdapter& os) {
   if (schedule.entries.empty()) return;
-  std::vector<double> priorities;
-  priorities.reserve(schedule.entries.size());
+  priorities_.clear();
   for (const ScheduleEntry& entry : schedule.entries) {
-    priorities.push_back(entry.priority);
+    priorities_.push_back(entry.priority);
   }
-
-  std::vector<int> nices;
+  nices_.resize(priorities_.size());
   if (schedule.spacing == PrioritySpacing::kLogarithmic) {
-    nices = PrioritiesToNice(priorities, nice_best_);
+    PrioritiesToNiceInPlace(priorities_, nice_best_, nices_);
   } else {
     // Linear: min-max into the nice interval, best priority -> nice_best.
-    const auto normalized = MinMaxNormalize(priorities, 0.0, 1.0);
-    nices.resize(normalized.size());
-    for (std::size_t i = 0; i < normalized.size(); ++i) {
+    MinMaxNormalizeInPlace(priorities_, 0.0, 1.0);
+    for (std::size_t i = 0; i < priorities_.size(); ++i) {
       const double nice =
-          nice_worst_ - normalized[i] * (nice_worst_ - nice_best_);
-      nices[i] = std::clamp(static_cast<int>(std::lround(nice)), -20, 19);
+          nice_worst_ - priorities_[i] * (nice_worst_ - nice_best_);
+      nices_[i] = std::clamp(static_cast<int>(std::lround(nice)), -20, 19);
     }
   }
   for (std::size_t i = 0; i < schedule.entries.size(); ++i) {
-    os.SetNice(schedule.entries[i].entity->thread, nices[i]);
+    os.SetNice(schedule.entries[i].entity->thread, nices_[i]);
   }
 }
 

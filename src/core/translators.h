@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/op_health.h"
 #include "core/os_adapter.h"
@@ -53,6 +54,10 @@ class NiceTranslator final : public Translator {
   int nice_best_;
   int nice_worst_;
   std::string name_ = "nice";
+  // Per-apply scratch, reused across ticks so a warm apply allocates
+  // nothing.
+  std::vector<double> priorities_;
+  std::vector<int> nices_;
 };
 
 // Grouping schedules -> cgroup cpu.shares. Entities are grouped by

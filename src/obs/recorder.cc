@@ -126,13 +126,21 @@ void Recorder::Op(SimTime now, EventKind kind, int op_class,
                   std::string_view detail) {
   if (!enabled_) return;
   if (kind == EventKind::kOpElided && !verbose_) return;
+  const StrId target_id = Intern(target);
+  Op(now, kind, op_class, target_id, value, Intern(detail));
+}
+
+void Recorder::Op(SimTime now, EventKind kind, int op_class, StrId target,
+                  std::int64_t value, StrId detail) {
+  if (!enabled_) return;
+  if (kind == EventKind::kOpElided && !verbose_) return;
   Event e;
   e.time = now;
   e.kind = kind;
   e.op_class = static_cast<std::uint8_t>(op_class);
   e.v0 = value;
-  e.target = Intern(target);
-  e.detail = Intern(detail);
+  e.target = target;
+  e.detail = detail;
   Push(e);
 }
 

@@ -331,12 +331,14 @@ TEST(AllocRegressionTest, NativePollAndFetchAllocateNothingOnceRingsWrap) {
   EXPECT_GT(sum, 0.0);
 }
 
-// A steady engine for the whole-tick pin: fixed queue sizes, and an
-// Entities() that counts the allocations its own by-value copy makes, so
-// the test can subtract what the SpeDriver interface forces on the driver.
-class SteadyDriver final : public SpeDriver {
+// A synthetic engine for the whole-tick pins: queue sizes fixed (steady)
+// or mirrored on odd ticks (churn: every nice value changes every tick),
+// and an Entities() that counts the allocations its own by-value copy
+// makes, so the tests can subtract what the SpeDriver interface forces on
+// the driver.
+class TickDriver final : public SpeDriver {
  public:
-  explicit SteadyDriver(int targets) {
+  TickDriver(int targets, bool churn) : churn_(churn) {
     for (int i = 0; i < targets; ++i) {
       EntityInfo e;
       e.id = OperatorId(static_cast<std::uint64_t>(i));
@@ -349,6 +351,7 @@ class SteadyDriver final : public SpeDriver {
     }
   }
   [[nodiscard]] const std::string& name() const override { return name_; }
+  void Poll(SimTime now) override { odd_tick_ = now / Seconds(1) % 2 == 1; }
   std::vector<EntityInfo> Entities() override {
     const std::uint64_t before = AllocCount();
     std::vector<EntityInfo> copy = entities_;
@@ -360,27 +363,30 @@ class SteadyDriver final : public SpeDriver {
     return metric == MetricId::kQueueSize;
   }
   double Fetch(MetricId, const EntityInfo& entity) override {
-    return static_cast<double>(entity.id.value() * 7919 % 1000);
+    const auto size = static_cast<double>(entity.id.value() * 7919 % 1000);
+    return churn_ && odd_tick_ ? 999.0 - size : size;
   }
   [[nodiscard]] std::uint64_t entities_allocs() const {
     return entities_allocs_;
   }
 
  private:
-  std::string name_ = "steady";
+  std::string name_ = "synthetic";
+  bool churn_;
+  bool odd_tick_ = false;
   std::vector<EntityInfo> entities_;
   LogicalTopology topology_;
   std::uint64_t entities_allocs_ = 0;
 };
 
-// Allocations of one steady LachesisRunner tick (QueueSizePolicy +
-// NiceTranslator on the simulator's executor) that are not the driver's
-// own Entities() copy.
-std::uint64_t SteadyTickAllocs(int targets) {
+// Allocations of one LachesisRunner tick (QueueSizePolicy + NiceTranslator
+// on the simulator's executor, recorder and health on as by default) that
+// are not the driver's own Entities() copy.
+std::uint64_t TickAllocs(int targets, bool churn) {
   sim::Simulator sim;
   SimControlExecutor executor(sim);
   NullAdapter backend;
-  SteadyDriver driver(targets);
+  TickDriver driver(targets, churn);
   LachesisRunner runner(executor, backend);
   PolicyBinding binding;
   binding.policy = std::make_unique<QueueSizePolicy>();
@@ -389,32 +395,53 @@ std::uint64_t SteadyTickAllocs(int targets) {
   binding.drivers = {&driver};
   runner.AddQuery(std::move(binding));
   runner.Start(Seconds(100));
-  // Warmup: the first tick sizes every table, the second settles them.
+  // Warmup: the first tick sizes every table, the second settles them (and
+  // under churn applies the other schedule once).
   sim.RunUntil(Seconds(3));
-  const std::uint64_t skipped_before = runner.delta_totals().skipped;
+  const DeltaStats totals_before = runner.delta_totals();
+  const std::uint64_t events_before = runner.recorder().total_recorded();
   const std::uint64_t driver_before = driver.entities_allocs();
   const std::uint64_t before = AllocCount();
   sim.RunUntil(Seconds(4));
   const std::uint64_t tick = AllocCount() - before;
   const std::uint64_t by_driver = driver.entities_allocs() - driver_before;
-  // The tick ran and was steady: every nice write was elided.
-  EXPECT_EQ(runner.delta_totals().skipped - skipped_before,
-            static_cast<std::uint64_t>(targets));
-  EXPECT_GE(by_driver, static_cast<std::uint64_t>(targets));
+  const auto n = static_cast<std::uint64_t>(targets);
+  if (churn) {
+    // Every nice value changed: each was applied, with health successes
+    // and one provenance event per op.
+    EXPECT_EQ(runner.delta_totals().applied - totals_before.applied, n);
+    EXPECT_GE(runner.recorder().total_recorded() - events_before, n);
+  } else {
+    // Steady: every nice write was elided.
+    EXPECT_EQ(runner.delta_totals().skipped - totals_before.skipped, n);
+  }
+  EXPECT_GE(by_driver, n);
   return tick - by_driver;
 }
 
 // A whole steady tick -- poll, entity snapshot, metric resolution, policy,
 // translate, delta, record -- makes a fixed number of allocations beyond
-// the driver's Entities() copy, however many targets it schedules. A
-// per-entity allocation anywhere on the path (a map node, a copied
-// EntityInfo, vector regrowth) makes the 10k count exceed the 1k one.
+// the driver's Entities() copy, however many targets it schedules: one,
+// the Schedule the policy returns by value. A per-entity allocation
+// anywhere on the path (a map node, a copied EntityInfo, vector regrowth)
+// makes the 10k count exceed the 1k one.
 TEST(AllocRegressionTest, SteadyRunnerTickAllocationsDoNotGrowWithTargets) {
-  const std::uint64_t small = SteadyTickAllocs(1'000);
-  const std::uint64_t large = SteadyTickAllocs(10'000);
+  const std::uint64_t small = TickAllocs(1'000, false);
+  const std::uint64_t large = TickAllocs(10'000, false);
   EXPECT_EQ(small, large) << "tick allocations beyond Entities(): " << small
                           << " at 1k targets, " << large << " at 10k";
+  EXPECT_LE(large, 1u);
   RecordProperty("tick_allocs_beyond_entities", static_cast<int>(large));
+}
+
+// A tick that changes every nice value allocates no more than a steady
+// one: the apply path, health successes and recorder events are heap-free
+// once each target has been seen.
+TEST(AllocRegressionTest, ChurnRunnerTickAllocatesNoMoreThanASteadyOne) {
+  for (const int targets : {1'000, 10'000}) {
+    EXPECT_EQ(TickAllocs(targets, true), TickAllocs(targets, false))
+        << "churn vs steady tick allocations at " << targets << " targets";
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/schedule_delta.h"
 #include "core/sim_executor.h"
 #include "core/translators.h"
+#include "obs/recorder.h"
 #include "sim/simulator.h"
 #include "tests/fake_driver.h"
 
@@ -455,6 +457,375 @@ TEST(DeltaHealthTest, RecoveryAfterBreakerReappliesEverything) {
   EXPECT_EQ(os.group_shares.at("b"), 200u);
   EXPECT_EQ(delta.health().class_state(OpClass::kSetGroupShares),
             BreakerState::kClosed);
+}
+
+// ---------------------------------------------------------------------------
+// Apply-path equivalence: scripted op sequences through fault injection,
+// checked op by op against the delta counters, the tracker's per-target
+// backoff, the breakers, and the recorded events resolved by name. The
+// delta layer takes a string-free path while a class is quiet and caches
+// each target's recorder id in its slot; these sequences pin that every
+// transition into and out of that path behaves exactly like the full one.
+
+std::string RenderEvent(const obs::Recorder& recorder, const obs::Event& e) {
+  std::string line = obs::EventKindName(e.kind);
+  if (e.op_class != obs::kNoOpClass) {
+    line += std::string(" ") + OpClassName(static_cast<OpClass>(e.op_class));
+  }
+  switch (e.kind) {
+    case obs::EventKind::kBreakerTransition:
+      line += " " + std::to_string(e.i0) + "->" + std::to_string(e.i1);
+      break;
+    case obs::EventKind::kBackoffArmed:
+      line += " " + recorder.Name(e.target) + " x" + std::to_string(e.i0) +
+              " @" + std::to_string(e.v0 / Millis(1)) + "ms";
+      break;
+    case obs::EventKind::kFaultInjected:
+      line += " " + recorder.Name(e.target) + " " + recorder.Name(e.detail);
+      break;
+    default:
+      line += " " + recorder.Name(e.target) + " " + std::to_string(e.v0);
+      if (e.detail != obs::kNoStr) line += " [" + recorder.Name(e.detail) + "]";
+  }
+  return line;
+}
+
+using Lines = std::vector<std::string>;
+
+// Thread `tid` with os tid 100 + tid: health key "t:<tid>/10<tid>", fault
+// target "10<tid>/<tid>".
+ThreadHandle Tid(std::uint64_t tid) {
+  ThreadHandle t = Thread(tid);
+  t.os_tid = static_cast<long>(100 + tid);
+  return t;
+}
+
+// A health-enabled delta layer (exact delays) over a fault-injecting
+// backend, both recording into one verbose recorder.
+struct ApplyRig {
+  explicit ApplyRig(FaultPlan plan)
+      : faults(backend, clock, std::move(plan)) {
+    delta.SetHealthConfig(FastHealth());
+    recorder.set_verbose(true);
+    Use(recorder);
+  }
+
+  void Use(obs::Recorder& next) {
+    active = &next;
+    delta.SetRecorder(&next);
+    faults.SetRecorder(&next);
+  }
+  void At(SimTime now) {
+    clock.now = now;
+    delta.BeginTick(now);
+  }
+
+  // Runs one op. Returns the one DeltaStats counter it moved, then the
+  // events it recorded.
+  template <typename Fn>
+  Lines Op(Fn&& fn) {
+    const DeltaStats before = delta.totals();
+    const std::uint64_t seq = active->total_recorded();
+    fn();
+    const DeltaStats& after = delta.totals();
+    const std::uint64_t moved[] = {after.applied - before.applied,
+                                   after.skipped - before.skipped,
+                                   after.errors - before.errors,
+                                   after.suppressed - before.suppressed};
+    const char* names[] = {"applied", "skipped", "error", "suppressed"};
+    Lines out;
+    for (int i = 0; i < 4; ++i) {
+      if (moved[i] != 0) {
+        out.push_back(names[i] + (moved[i] == 1 ? "" : std::string(" x") +
+                                                      std::to_string(moved[i])));
+      }
+    }
+    for (const obs::Event& e : active->Snapshot()) {
+      if (e.seq >= seq) out.push_back(RenderEvent(*active, e));
+    }
+    return out;
+  }
+  Lines Nice(std::uint64_t tid, int nice) {
+    return Op([&] { delta.SetNice(Tid(tid), nice); });
+  }
+
+  // The tracker's view of (cls, thread): "-" when untracked, else failures
+  // and next retry; then the breaker; then whether the class is quiet.
+  std::string Health(OpClass cls, std::uint64_t tid) const {
+    const OpHealthTracker& h = delta.health();
+    const std::string key = ScheduleDeltaAdapter::HealthKeyOf(Tid(tid));
+    std::string out =
+        h.target_failures(cls, key) == 0
+            ? "-"
+            : "x" + std::to_string(h.target_failures(cls, key)) + " @" +
+                  std::to_string(h.target_next_retry(cls, key) / Millis(1)) +
+                  "ms";
+    static const char* kStates[] = {"closed", "open", "half-open"};
+    out += std::string(" ") + kStates[static_cast<int>(h.class_state(cls))];
+    return out + (h.Quiet(cls) ? " quiet" : "");
+  }
+
+  RecordingOsAdapter backend;
+  ManualClock clock;
+  FaultInjectingOsAdapter faults;
+  ScheduleDeltaAdapter delta{faults};
+  obs::Recorder recorder{4096};
+  obs::Recorder* active = nullptr;
+};
+
+OsFaultRule NiceFault(FaultKind kind, SimTime from, SimTime until,
+                      std::string target_substr = {}) {
+  OsFaultRule rule;
+  rule.op = OpClass::kSetNice;
+  rule.kind = kind;
+  rule.from = from;
+  rule.until = until;
+  rule.target_substr = std::move(target_substr);
+  return rule;
+}
+
+TEST(ApplyPathTest, TargetBacksOffRecoversAndItsClassTurnsQuietAgain) {
+  FaultPlan plan;
+  // Thread 2 (fault target "102/2") fails with each severity in turn.
+  plan.os_rules = {NiceFault(FaultKind::kEperm, Seconds(1), Seconds(2), "102/2"),
+                   NiceFault(FaultKind::kVanish, Seconds(3), Seconds(4), "102/2"),
+                   NiceFault(FaultKind::kEbusy, Seconds(5), Millis(5200),
+                             "102/2")};
+  ApplyRig rig(std::move(plan));
+  const OpClass nice = OpClass::kSetNice;
+
+  rig.At(0);
+  EXPECT_EQ(rig.Nice(1, 1), (Lines{"applied", "OpApplied SetNice t:1/101 1"}));
+  EXPECT_EQ(rig.Nice(2, 1), (Lines{"applied", "OpApplied SetNice t:2/102 1"}));
+  EXPECT_EQ(rig.Nice(2, 1), (Lines{"skipped", "OpElided SetNice t:2/102 1"}));
+  EXPECT_EQ(rig.Health(nice, 2), "- closed quiet");
+
+  // EPERM: permanent, two backoff steps at once.
+  rig.At(Seconds(1));
+  EXPECT_EQ(rig.Nice(2, 2),
+            (Lines{"error", "FaultInjected SetNice 102/2 eperm",
+                   "BackoffArmed SetNice t:2/102 x2 @2000ms",
+                   "OpError SetNice t:2/102 2 [injected EPERM: SetNice(102/2)]"}));
+  EXPECT_EQ(rig.Health(nice, 2), "x2 @2000ms closed");
+  // Another target of the now non-quiet class still goes straight through.
+  EXPECT_EQ(rig.Nice(1, 2), (Lines{"applied", "OpApplied SetNice t:1/101 2"}));
+  EXPECT_EQ(rig.Health(nice, 1), "- closed");
+  rig.At(Millis(1500));
+  const int calls = rig.backend.nice_calls;
+  EXPECT_EQ(rig.Nice(2, 2),
+            (Lines{"suppressed", "OpSuppressed SetNice t:2/102 2"}));
+  EXPECT_EQ(rig.backend.nice_calls, calls);
+  rig.At(Seconds(2));
+  EXPECT_EQ(rig.Nice(2, 2), (Lines{"applied", "OpApplied SetNice t:2/102 2"}));
+  EXPECT_EQ(rig.Health(nice, 2), "- closed quiet");
+  EXPECT_EQ(rig.backend.nices.at(2), 2);
+  EXPECT_EQ(rig.Nice(2, 2), (Lines{"skipped", "OpElided SetNice t:2/102 2"}));
+
+  // ESRCH: the target backs off, the class streak is untouched.
+  rig.At(Seconds(3));
+  EXPECT_EQ(rig.Nice(2, 3),
+            (Lines{"error", "FaultInjected SetNice 102/2 vanish",
+                   "BackoffArmed SetNice t:2/102 x1 @3500ms",
+                   "OpError SetNice t:2/102 3 [injected vanish: SetNice(102/2)]"}));
+  rig.At(Millis(3500));
+  EXPECT_EQ(rig.Nice(2, 3),
+            (Lines{"error", "FaultInjected SetNice 102/2 vanish",
+                   "BackoffArmed SetNice t:2/102 x2 @4500ms",
+                   "OpError SetNice t:2/102 3 [injected vanish: SetNice(102/2)]"}));
+  rig.At(Seconds(4));
+  EXPECT_EQ(rig.Nice(2, 3),
+            (Lines{"suppressed", "OpSuppressed SetNice t:2/102 3"}));
+  EXPECT_EQ(rig.Health(nice, 2), "x2 @4500ms closed");
+  rig.At(Millis(4500));
+  EXPECT_EQ(rig.Nice(2, 3), (Lines{"applied", "OpApplied SetNice t:2/102 3"}));
+  EXPECT_EQ(rig.Health(nice, 2), "- closed quiet");
+
+  // EBUSY: transient, one step.
+  rig.At(Seconds(5));
+  EXPECT_EQ(rig.Nice(2, 4),
+            (Lines{"error", "FaultInjected SetNice 102/2 ebusy",
+                   "BackoffArmed SetNice t:2/102 x1 @5500ms",
+                   "OpError SetNice t:2/102 4 [injected EBUSY: SetNice(102/2)]"}));
+  rig.At(Millis(5250));
+  EXPECT_EQ(rig.Nice(2, 4),
+            (Lines{"suppressed", "OpSuppressed SetNice t:2/102 4"}));
+  rig.At(Millis(5500));
+  EXPECT_EQ(rig.Nice(2, 4), (Lines{"applied", "OpApplied SetNice t:2/102 4"}));
+  EXPECT_EQ(rig.Health(nice, 2), "- closed quiet");
+  EXPECT_EQ(rig.delta.health().breaker_opens(nice), 0u);
+  EXPECT_EQ(rig.delta.health().tracked_targets(), 0u);
+}
+
+TEST(ApplyPathTest, OneClassFailsWhileAnotherStaysQuiet) {
+  FaultPlan plan;
+  OsFaultRule rt;
+  rt.op = OpClass::kSetRtPriority;
+  rt.kind = FaultKind::kEperm;
+  plan.os_rules = {rt};
+  ApplyRig rig(std::move(plan));
+  const OpClass rt_cls = OpClass::kSetRtPriority;
+  const auto boost = [&](std::uint64_t tid, int priority) {
+    return rig.Op([&] { rig.delta.SetRtPriority(Tid(tid), priority); });
+  };
+
+  rig.At(0);
+  EXPECT_EQ(boost(1, 10),
+            (Lines{"error", "FaultInjected SetRtPriority 101/1 eperm",
+                   "BackoffArmed SetRtPriority t:1/101 x2 @1000ms",
+                   "OpError SetRtPriority t:1/101 10 [injected EPERM: "
+                   "SetRtPriority(101/1)]"}));
+  EXPECT_EQ(rig.Nice(1, 5), (Lines{"applied", "OpApplied SetNice t:1/101 5"}));
+  EXPECT_EQ(rig.Health(OpClass::kSetNice, 1), "- closed quiet");
+  EXPECT_EQ(rig.Health(rt_cls, 1), "x2 @1000ms closed");
+  EXPECT_EQ(boost(2, 10).front(), "error");
+  EXPECT_EQ(boost(3, 10),
+            (Lines{"error", "FaultInjected SetRtPriority 103/3 eperm",
+                   "BackoffArmed SetRtPriority t:3/103 x2 @1000ms",
+                   "BreakerTransition SetRtPriority 0->1",
+                   "OpError SetRtPriority t:3/103 10 [injected EPERM: "
+                   "SetRtPriority(103/3)]"}));
+  EXPECT_EQ(rig.Health(rt_cls, 3), "x2 @1000ms open");
+  // The nice class never saw a failure: still quiet, still applying.
+  EXPECT_EQ(rig.Nice(2, 5), (Lines{"applied", "OpApplied SetNice t:2/102 5"}));
+  EXPECT_EQ(rig.Nice(1, 6), (Lines{"applied", "OpApplied SetNice t:1/101 6"}));
+  EXPECT_EQ(rig.Health(OpClass::kSetNice, 2), "- closed quiet");
+  // Demoting a never-boosted thread is elided however broken the class is.
+  EXPECT_EQ(boost(4, 0),
+            (Lines{"skipped", "OpElided SetRtPriority t:4/104 0"}));
+  EXPECT_EQ(boost(1, 10),
+            (Lines{"suppressed", "OpSuppressed SetRtPriority t:1/101 10"}));
+  EXPECT_EQ(rig.backend.nices.size(), 2u);
+  EXPECT_TRUE(rig.backend.rt_priorities.empty());
+}
+
+TEST(ApplyPathTest, BreakerOpensProbesFailsProbesAgainAndCloses) {
+  FaultPlan plan;
+  plan.os_rules = {NiceFault(FaultKind::kEbusy, Seconds(1), Seconds(4))};
+  ApplyRig rig(std::move(plan));
+  const OpClass nice = OpClass::kSetNice;
+
+  rig.At(0);
+  for (std::uint64_t tid = 1; tid <= 3; ++tid) {
+    EXPECT_EQ(rig.Nice(tid, 0).front(), "applied");
+  }
+  rig.At(Seconds(1));
+  EXPECT_EQ(rig.Nice(1, 1).front(), "error");
+  EXPECT_EQ(rig.Nice(2, 1).front(), "error");
+  EXPECT_EQ(rig.Nice(3, 1),
+            (Lines{"error", "FaultInjected SetNice 103/3 ebusy",
+                   "BackoffArmed SetNice t:3/103 x1 @1500ms",
+                   "BreakerTransition SetNice 0->1",
+                   "OpError SetNice t:3/103 1 [injected EBUSY: SetNice(103/3)]"}));
+  EXPECT_EQ(rig.Health(nice, 1), "x1 @1500ms open");
+
+  // Open: every op of the class is withheld until the probe is due (3 s).
+  rig.At(Seconds(2));
+  EXPECT_EQ(rig.Nice(1, 1), (Lines{"suppressed", "OpSuppressed SetNice t:1/101 1"}));
+  // The probe fails (the fault lasts until 4 s): reopen, interval doubled.
+  rig.At(Seconds(3));
+  EXPECT_EQ(rig.Nice(1, 1),
+            (Lines{"error", "BreakerTransition SetNice 1->2",
+                   "FaultInjected SetNice 101/1 ebusy",
+                   "BackoffArmed SetNice t:1/101 x2 @4000ms",
+                   "BreakerTransition SetNice 2->1",
+                   "OpError SetNice t:1/101 1 [injected EBUSY: SetNice(101/1)]"}));
+  EXPECT_EQ(rig.Health(nice, 1), "x2 @4000ms open");
+  rig.At(Seconds(5));
+  EXPECT_TRUE(!rig.delta.health().ProbeDue(nice, Seconds(5)));
+  EXPECT_EQ(rig.Nice(2, 1), (Lines{"suppressed", "OpSuppressed SetNice t:2/102 1"}));
+  // Next probe at 3 s + 4 s succeeds: closed, every backoff of the class
+  // cleared, and the class is quiet again.
+  rig.At(Seconds(7));
+  EXPECT_EQ(rig.Nice(2, 1),
+            (Lines{"applied", "BreakerTransition SetNice 1->2",
+                   "BreakerTransition SetNice 2->0",
+                   "OpApplied SetNice t:2/102 1"}));
+  EXPECT_EQ(rig.Health(nice, 1), "- closed quiet");
+  EXPECT_EQ(rig.Nice(1, 1), (Lines{"applied", "OpApplied SetNice t:1/101 1"}));
+  EXPECT_EQ(rig.Nice(3, 1), (Lines{"applied", "OpApplied SetNice t:3/103 1"}));
+  EXPECT_EQ(rig.Nice(3, 1), (Lines{"skipped", "OpElided SetNice t:3/103 1"}));
+  EXPECT_EQ(rig.delta.health().breaker_opens(nice), 1u);
+  EXPECT_EQ(rig.backend.nices, (std::map<std::uint64_t, int>{
+                                   {1, 1}, {2, 1}, {3, 1}}));
+}
+
+TEST(ApplyPathTest, ForgottenThreadIsReappliedFromScratch) {
+  FaultPlan plan;
+  plan.os_rules = {NiceFault(FaultKind::kEperm, 0, Seconds(1), "102/2")};
+  ApplyRig rig(std::move(plan));
+  const OpClass nice = OpClass::kSetNice;
+
+  rig.At(0);
+  EXPECT_EQ(rig.Nice(1, 3), (Lines{"applied", "OpApplied SetNice t:1/101 3"}));
+  EXPECT_EQ(rig.Nice(2, 3).front(), "error");
+  EXPECT_EQ(rig.Health(nice, 2), "x2 @1000ms closed");
+  rig.delta.ForgetThread(Tid(2));
+  rig.delta.ForgetThread(Tid(1));
+  EXPECT_EQ(rig.Health(nice, 2), "- closed quiet");
+  EXPECT_EQ(rig.delta.health().tracked_targets(), 0u);
+
+  rig.At(Seconds(1));
+  // Both caches were dropped: the same values go to the backend again,
+  // under the right names.
+  EXPECT_EQ(rig.Nice(1, 3), (Lines{"applied", "OpApplied SetNice t:1/101 3"}));
+  EXPECT_EQ(rig.Nice(2, 3), (Lines{"applied", "OpApplied SetNice t:2/102 3"}));
+  EXPECT_EQ(rig.Nice(2, 3), (Lines{"skipped", "OpElided SetNice t:2/102 3"}));
+}
+
+TEST(ApplyPathTest, SeededSlotsElideThenRecordUnderTheRightNames) {
+  ApplyRig rig(FaultPlan{});
+  OsStateSnapshot snapshot;
+  for (std::uint64_t tid : {1, 2}) {
+    OsStateSnapshot::ThreadState ts;
+    ts.thread = Tid(tid);
+    ts.nice = static_cast<int>(tid) + 3;
+    ts.group = "g";
+    snapshot.threads.push_back(ts);
+  }
+  snapshot.group_shares["g"] = 512;
+  EXPECT_EQ(rig.delta.SeedFromSnapshot(snapshot), 5u);
+
+  rig.At(0);
+  EXPECT_EQ(rig.Nice(1, 4), (Lines{"skipped", "OpElided SetNice t:1/101 4"}));
+  EXPECT_EQ(rig.Nice(2, 8), (Lines{"applied", "OpApplied SetNice t:2/102 8"}));
+  EXPECT_EQ(rig.Nice(2, 8), (Lines{"skipped", "OpElided SetNice t:2/102 8"}));
+  EXPECT_EQ(rig.Op([&] { rig.delta.SetGroupShares("g", 512); }),
+            (Lines{"skipped", "OpElided SetGroupShares g:g 512"}));
+  EXPECT_EQ(rig.Op([&] { rig.delta.MoveToGroup(Tid(1), "g"); }),
+            (Lines{"skipped", "OpElided MoveToGroup t:1/101 0"}));
+  EXPECT_EQ(rig.Op([&] { rig.delta.MoveToGroup(Tid(2), "h"); }),
+            (Lines{"applied", "OpApplied MoveToGroup t:2/102 0 [h]"}));
+  EXPECT_EQ(rig.backend.nice_calls, 1);
+}
+
+TEST(ApplyPathTest, SwappedRecorderGetsEveryTargetUnderItsOwnIds) {
+  ApplyRig rig(FaultPlan{});
+  rig.At(0);
+  EXPECT_EQ(rig.Nice(1, 1).front(), "applied");
+  EXPECT_EQ(rig.Nice(2, 1).front(), "applied");
+  EXPECT_EQ(rig.Op([&] { rig.delta.SetGroupShares("g", 100); }).front(),
+            "applied");
+  EXPECT_EQ(rig.Op([&] { rig.delta.MoveToGroup(Tid(1), "g"); }).front(),
+            "applied");
+
+  // The fresh recorder hands out the same small ids to other strings, so
+  // an id kept from the first recorder would resolve to a decoy here.
+  obs::Recorder fresh(4096);
+  fresh.set_verbose(true);
+  for (int i = 0; i < 16; ++i) (void)fresh.Intern("decoy" + std::to_string(i));
+  const std::uint64_t old_total = rig.recorder.total_recorded();
+  rig.Use(fresh);
+
+  rig.At(Seconds(1));
+  EXPECT_EQ(rig.Nice(1, 2), (Lines{"applied", "OpApplied SetNice t:1/101 2"}));
+  EXPECT_EQ(rig.Nice(2, 1), (Lines{"skipped", "OpElided SetNice t:2/102 1"}));
+  EXPECT_EQ(rig.Op([&] { rig.delta.SetGroupShares("g", 100); }),
+            (Lines{"skipped", "OpElided SetGroupShares g:g 100"}));
+  EXPECT_EQ(rig.Op([&] { rig.delta.SetGroupShares("g", 200); }),
+            (Lines{"applied", "OpApplied SetGroupShares g:g 200"}));
+  EXPECT_EQ(rig.Op([&] { rig.delta.MoveToGroup(Tid(1), "h"); }),
+            (Lines{"applied", "OpApplied MoveToGroup t:1/101 0 [h]"}));
+  EXPECT_EQ(rig.recorder.total_recorded(), old_total);
 }
 
 // ---------------------------------------------------------------------------
